@@ -18,7 +18,7 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # The coverage ratchet: cover fails if total statement coverage drops
 # below this. The gating value is recorded in .github/workflows/ci.yml
 # (env on the make step); raise it there as coverage grows.
-COVER_MIN ?= 77.5
+COVER_MIN ?= 79.0
 COVER_OUT ?= cover.out
 
 # Fuzz smoke budget per target (a real campaign runs

@@ -214,7 +214,7 @@ func BenchmarkDualTaskInterference(b *testing.B) {
 	mineOnce := func() time.Duration {
 		start := time.Now()
 		h := chain.Header{Difficulty: 1 << 18}
-		chain.Mine(&h, uint64(start.UnixNano()), nil)
+		chain.Mine(&h, uint64(start.UnixNano()))
 		return time.Since(start)
 	}
 	var idleTotal, busyTotal time.Duration
@@ -302,9 +302,7 @@ func BenchmarkAblationPoWDifficulty(b *testing.B) {
 		b.Run("2e"+itoa(int(bits)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := chain.Header{Difficulty: 1 << bits, Nonce: 0, Number: uint64(i)}
-				if !chain.Mine(&h, uint64(i)<<32, nil) {
-					b.Fatal("mining failed")
-				}
+				chain.Mine(&h, uint64(i)<<32)
 			}
 		})
 	}

@@ -3,15 +3,10 @@ package bfl
 import (
 	"reflect"
 	"testing"
-	"time"
 
-	"waitornot/internal/chain"
-	"waitornot/internal/contract"
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
-	"waitornot/internal/keys"
 	"waitornot/internal/nn"
-	"waitornot/internal/p2p"
 )
 
 // tinyConfig is a fast 3-peer, 2-round experiment.
@@ -203,79 +198,6 @@ func TestRunDecentralizedPoisonFiltered(t *testing.T) {
 	if res.Rounds[2][0].ChosenCombo == "" {
 		t.Fatal("poisoned peer must still aggregate something")
 	}
-}
-
-// TestLivePeersConverge runs three free-running miners and checks the
-// network converges on one canonical chain carrying a registration.
-func TestLivePeersConverge(t *testing.T) {
-	cfg := chain.DefaultConfig()
-	// Difficulty high enough that blocks take ~100ms+: with near-zero
-	// difficulty three racing miners fork hundreds of times per second
-	// and side-branch replays dominate, which is realistic for a broken
-	// difficulty choice but useless as a convergence test.
-	cfg.GenesisDifficulty = 1 << 18
-	cfg.MinDifficulty = 1 << 14
-	cfg.TargetIntervalMs = 200
-
-	vm := contract.NewVM(cfg.Gas)
-	net := p2p.NewNetwork(p2p.Config{Seed: 5, BaseLatency: time.Millisecond})
-	defer net.Close()
-
-	names := []string{"A", "B", "C"}
-	ks := make([]*keys.Key, 3)
-	alloc := map[keys.Address]uint64{}
-	for i := range ks {
-		ks[i] = keys.GenerateDeterministic(uint64(500 + i))
-		alloc[ks[i].Address()] = 1 << 62
-	}
-	peers := make([]*LivePeer, 3)
-	for i, name := range names {
-		p, err := NewLivePeer(name, ks[i], cfg, alloc, vm, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-	for _, p := range peers {
-		p.Start(true)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-
-	// Peer A registers itself; the tx must land on every peer's chain.
-	tx, err := chain.NewTx(ks[0], peers[0].NextNonce(), contract.RegistryAddress, 0,
-		contract.RegisterCallData("A"), cfg.Gas, 1_000_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := peers[0].SubmitTx(tx); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		allSee := true
-		for _, p := range peers {
-			if contract.NameOf(p.Chain.StateCopy(), ks[0].Address()) != "A" {
-				allSee = false
-				break
-			}
-		}
-		if allSee {
-			// Convergence: peers share the registration; heights move.
-			for _, p := range peers {
-				if p.Chain.Height() == 0 {
-					t.Fatal("a peer never advanced")
-				}
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("live peers did not converge on the registration within 15s")
 }
 
 func TestApplyPolicySelfAlwaysIncluded(t *testing.T) {

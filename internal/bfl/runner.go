@@ -3,13 +3,12 @@
 // contract on a PoW chain, personalize their aggregation with the core
 // engine, and record their decisions on-chain.
 //
-// Two harnesses are provided. RunDecentralized is the deterministic
-// experiment runner that regenerates Tables II-IV and the wait-policy
-// trade-off study: every peer runs a real chain and the real contracts,
-// with block production sequenced so results are bit-reproducible.
-// LivePeer (peer.go) is the free-running variant — concurrent mining,
-// gossip, fork racing — used by the examples and the dual-task
-// interference benchmark.
+// RunDecentralized is the deterministic experiment runner that
+// regenerates Tables II-IV and the wait-policy trade-off study: every
+// peer runs a real ledger replica and the real contracts, with block
+// production sequenced on a virtual clock so results are
+// bit-reproducible. Network propagation is modelled as delay on that
+// clock; there is no live network.
 package bfl
 
 import (

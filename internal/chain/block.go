@@ -13,9 +13,8 @@ type Header struct {
 	ParentHash Hash
 	// Number is the block height (genesis = 0).
 	Number uint64
-	// Time is the block timestamp in milliseconds. Under the virtual
-	// clock harness it is simulated time; under the live harness, wall
-	// time.
+	// Time is the block timestamp in milliseconds of virtual
+	// (simulated) time.
 	Time uint64
 	// Miner receives the block reward and gas fees.
 	Miner keys.Address

@@ -2,7 +2,7 @@ package chain
 
 import (
 	"fmt"
-	"math/big"
+	"slices"
 	"sync"
 
 	"waitornot/internal/keys"
@@ -40,20 +40,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Chain is a block store with total-difficulty fork choice and full
-// validation/execution. It is safe for concurrent use.
+// Chain is a linear replica: the blocks from genesis to head and the
+// head's post-state, with full validation and execution of every block
+// it appends. AddBlock accepts only a block that extends the head, so
+// there is no fork to choose between. It is safe for concurrent use.
 type Chain struct {
 	cfg  Config
 	proc Processor
 
-	mu       sync.RWMutex
-	blocks   map[Hash]*Block
-	td       map[Hash]*big.Int // total difficulty including the block
-	receipts map[Hash][]*Receipt
-	head     Hash
-	genesis  Hash
-	state    *State // post-state of head
-	alloc    map[keys.Address]uint64
+	mu     sync.RWMutex
+	blocks []*Block // genesis..head
+	state  *State   // post-state of head
 }
 
 // New creates a chain with the given genesis allocation. proc executes
@@ -67,23 +64,15 @@ func New(cfg Config, alloc map[keys.Address]uint64, proc Processor) *Chain {
 		GasLimit:   cfg.BlockGasLimit,
 		TxRoot:     MerkleRoot(nil),
 	}}
-	gh := genesis.Hash()
 	st := NewState()
-	allocCopy := make(map[keys.Address]uint64, len(alloc))
 	for a, v := range alloc {
 		st.Account(a).Balance = v
-		allocCopy[a] = v
 	}
 	return &Chain{
-		cfg:      cfg,
-		proc:     proc,
-		blocks:   map[Hash]*Block{gh: genesis},
-		td:       map[Hash]*big.Int{gh: new(big.Int).SetUint64(cfg.GenesisDifficulty)},
-		receipts: map[Hash][]*Receipt{gh: nil},
-		head:     gh,
-		genesis:  gh,
-		state:    st,
-		alloc:    allocCopy,
+		cfg:    cfg,
+		proc:   proc,
+		blocks: []*Block{genesis},
+		state:  st,
 	}
 }
 
@@ -94,38 +83,17 @@ func (c *Chain) Config() Config { return c.cfg }
 func (c *Chain) Genesis() *Block {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.blocks[c.genesis]
+	return c.blocks[0]
 }
 
-// Head returns the current canonical head block.
+// Head returns the head block.
 func (c *Chain) Head() *Block {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.blocks[c.head]
+	return c.blocks[len(c.blocks)-1]
 }
 
-// TotalDifficulty returns the head's cumulative difficulty.
-func (c *Chain) TotalDifficulty() *big.Int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return new(big.Int).Set(c.td[c.head])
-}
-
-// GetBlock returns a block by hash, or nil.
-func (c *Chain) GetBlock(h Hash) *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blocks[h]
-}
-
-// Receipts returns the receipts of a block by hash, or nil.
-func (c *Chain) Receipts(h Hash) []*Receipt {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.receipts[h]
-}
-
-// Height returns the canonical head's number.
+// Height returns the head's number.
 func (c *Chain) Height() uint64 { return c.Head().Header.Number }
 
 // StateCopy returns a deep copy of the head state (for mempool
@@ -140,28 +108,7 @@ func (c *Chain) StateCopy() *State {
 func (c *Chain) CanonicalChain() []*Block {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.pathToLocked(c.head)
-}
-
-// pathToLocked returns genesis..target following parent links.
-func (c *Chain) pathToLocked(target Hash) []*Block {
-	var rev []*Block
-	for h := target; ; {
-		b := c.blocks[h]
-		if b == nil {
-			return nil
-		}
-		rev = append(rev, b)
-		if h == c.genesis {
-			break
-		}
-		h = b.Header.ParentHash
-	}
-	out := make([]*Block, len(rev))
-	for i, b := range rev {
-		out[len(rev)-1-i] = b
-	}
-	return out
+	return slices.Clone(c.blocks)
 }
 
 // validateHeader checks a block's header against its parent.
@@ -190,100 +137,54 @@ func (c *Chain) validateHeader(b *Block, parent *Block) error {
 }
 
 // execute replays a block's transactions on top of the given state
-// (mutated in place) and returns the receipts.
-func (c *Chain) execute(b *Block, st *State) ([]*Receipt, error) {
+// (mutated in place).
+func (c *Chain) execute(b *Block, st *State) error {
 	var gasUsed uint64
-	receipts := make([]*Receipt, 0, len(b.Txs))
 	for i, tx := range b.Txs {
 		if err := tx.ValidateBasic(c.cfg.Gas); err != nil {
-			return nil, fmt.Errorf("tx %d: %w", i, err)
+			return fmt.Errorf("tx %d: %w", i, err)
 		}
 		rec, err := ApplyTx(c.cfg.Gas, st, tx, b.Header.Miner, c.proc)
 		if err != nil {
-			return nil, fmt.Errorf("tx %d: %w", i, err)
+			return fmt.Errorf("tx %d: %w", i, err)
 		}
 		gasUsed += rec.GasUsed
 		if gasUsed > b.Header.GasLimit {
-			return nil, fmt.Errorf("%w: used %d > limit %d", ErrBlockGasExceed, gasUsed, b.Header.GasLimit)
+			return fmt.Errorf("%w: used %d > limit %d", ErrBlockGasExceed, gasUsed, b.Header.GasLimit)
 		}
-		receipts = append(receipts, rec)
 	}
 	if gasUsed != b.Header.GasUsed {
-		return nil, fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, gasUsed, b.Header.GasUsed)
+		return fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, gasUsed, b.Header.GasUsed)
 	}
 	st.Account(b.Header.Miner).Balance += c.cfg.BlockReward
-	return receipts, nil
+	return nil
 }
 
-// AddBlock validates and stores a block, updating the canonical head if
-// the block's branch has greater total difficulty (ties keep the current
-// head — first seen wins, as in Ethereum). It returns whether the head
-// changed.
-func (c *Chain) AddBlock(b *Block) (reorged bool, err error) {
+// AddBlock appends a block that extends the head. The header is
+// validated and the block executed on a copy of the head state; the
+// chain changes only if both succeed. A repeat of the head is rejected
+// with ErrKnownBlock, any other block whose parent is not the head with
+// ErrUnknownParent.
+func (c *Chain) AddBlock(b *Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	hash := b.Hash()
-	if _, known := c.blocks[hash]; known {
-		return false, ErrKnownBlock
+	head := c.blocks[len(c.blocks)-1]
+	headHash := head.Hash()
+	if b.Hash() == headHash {
+		return ErrKnownBlock
 	}
-	parent, ok := c.blocks[b.Header.ParentHash]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownParent, b.Header.ParentHash.Short())
+	if b.Header.ParentHash != headHash {
+		return fmt.Errorf("%w: %s is not the head %s", ErrUnknownParent, b.Header.ParentHash.Short(), headHash.Short())
 	}
-	if err := c.validateHeader(b, parent); err != nil {
-		return false, err
+	if err := c.validateHeader(b, head); err != nil {
+		return err
 	}
-
-	// Execute on the parent's state: rebuild it by replaying the branch
-	// (cheap at experiment scale, immune to fork bookkeeping bugs).
-	parentState, err := c.stateAtLocked(b.Header.ParentHash)
-	if err != nil {
-		return false, err
+	st := c.state.Copy()
+	if err := c.execute(b, st); err != nil {
+		return err
 	}
-	receipts, err := c.execute(b, parentState)
-	if err != nil {
-		return false, err
-	}
-
-	c.blocks[hash] = b
-	c.receipts[hash] = receipts
-	td := new(big.Int).Add(c.td[b.Header.ParentHash], new(big.Int).SetUint64(b.Header.Difficulty))
-	c.td[hash] = td
-
-	if td.Cmp(c.td[c.head]) > 0 {
-		c.head = hash
-		c.state = parentState // now the post-state of b
-		return true, nil
-	}
-	return false, nil
-}
-
-// stateAtLocked rebuilds the world state after the given block by
-// replaying from genesis. The head state is served from cache.
-func (c *Chain) stateAtLocked(h Hash) (*State, error) {
-	if h == c.head {
-		return c.state.Copy(), nil
-	}
-	st := NewState()
-	for a, v := range c.alloc {
-		st.Account(a).Balance = v
-	}
-	path := c.pathToLocked(h)
-	if path == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, h.Short())
-	}
-	for _, b := range path[1:] { // skip genesis
-		if _, err := c.execute(b, st); err != nil {
-			return nil, fmt.Errorf("replay %s: %w", b.Hash().Short(), err)
-		}
-	}
-	return st, nil
-}
-
-// StateAt returns a copy of the world state after the given block.
-func (c *Chain) StateAt(h Hash) (*State, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stateAtLocked(h)
+	c.blocks = append(c.blocks, b)
+	c.state = st
+	return nil
 }

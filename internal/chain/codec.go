@@ -3,7 +3,6 @@ package chain
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -36,9 +35,6 @@ import (
 // (identical chains encode to identical bytes, which gob's type-
 // definition interleaving does not guarantee across streams), roughly
 // 40% smaller for model-payload blocks, and decodes without reflection.
-// ReadChain still accepts version-1 gob streams — anything not starting
-// with the magic — so fixtures and chains saved by older builds load
-// unchanged.
 const (
 	chainMagic   = "WCHN"
 	chainVersion = 2
@@ -96,22 +92,19 @@ func WriteChain(w io.Writer, blocks []*Block) error {
 	return nil
 }
 
-// ReadChain deserializes blocks written by WriteChain. Streams that do
-// not start with the version-2 magic fall back to the legacy gob
-// decoder, so chains persisted before the binary codec keep loading.
+// ReadChain deserializes blocks written by WriteChain. Every rejection,
+// including a stream that does not start with the magic, wraps
+// ErrCorruptChain.
 func ReadChain(r io.Reader) ([]*Block, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(chainMagic) + 1)
-	if err != nil || string(head[:len(chainMagic)]) != chainMagic {
-		return readChainGob(br)
+	d := &chainDecoder{r: bufio.NewReader(r)}
+	var head [len(chainMagic) + 1]byte
+	d.full(head[:])
+	if d.err != nil || string(head[:len(chainMagic)]) != chainMagic {
+		return nil, fmt.Errorf("%w: no %q header", ErrCorruptChain, chainMagic)
 	}
 	if head[len(chainMagic)] != chainVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptChain, head[len(chainMagic)])
 	}
-	if _, err := br.Discard(len(chainMagic) + 1); err != nil {
-		return nil, fmt.Errorf("chain: decode: %w", err)
-	}
-	d := &chainDecoder{r: br}
 	count := d.u32()
 	if count > codecMaxLen {
 		return nil, fmt.Errorf("%w: block count %d", ErrCorruptChain, count)
@@ -166,15 +159,6 @@ func ReadChain(r io.Reader) ([]*Block, error) {
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("chain: decode: %w", d.err)
-	}
-	return blocks, nil
-}
-
-// readChainGob decodes the legacy (pre-version-2) gob encoding.
-func readChainGob(r io.Reader) ([]*Block, error) {
-	var blocks []*Block
-	if err := gob.NewDecoder(r).Decode(&blocks); err != nil {
-		return nil, fmt.Errorf("chain: decode: %w", err)
 	}
 	return blocks, nil
 }

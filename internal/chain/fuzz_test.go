@@ -1,13 +1,13 @@
 // Fuzz targets for the chain's attacker-facing surfaces: the
-// versioned binary persistence codec (arbitrary bytes from disk,
-// including legacy gob streams) and the mempool (arbitrary transaction
-// submissions from peers). Run continuously
-// with `go test -fuzz`, or as the short smoke `make fuzz-smoke` that
-// `make ci` gates on.
+// versioned binary persistence codec (arbitrary bytes from disk) and
+// the mempool (arbitrary transaction submissions from peers). Run
+// continuously with `go test -fuzz`, or as the short smoke `make
+// fuzz-smoke` that `make ci` gates on.
 package chain
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -24,11 +24,8 @@ func corpusChainBytes(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := c.AssembleAndMine(ks[0].Address(), []*Transaction{tx}, c.Head().Header.Time+1500, 0, nil)
-	if b == nil {
-		tb.Fatal("seed corpus: mining returned nil")
-	}
-	if _, err := c.AddBlock(b); err != nil {
+	b := c.AssembleAndMine(ks[0].Address(), []*Transaction{tx}, c.Head().Header.Time+1500)
+	if err := c.AddBlock(b); err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -39,8 +36,9 @@ func corpusChainBytes(tb testing.TB) []byte {
 }
 
 // FuzzChainCodec: ReadChain on arbitrary bytes must either reject with
-// an error or produce a value that survives a Write/Read round trip
-// unchanged — and it must never panic, whatever is on disk.
+// an ErrCorruptChain-wrapped error or produce a value that survives a
+// Write/Read round trip unchanged — and it must never panic, whatever
+// is on disk.
 func FuzzChainCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a chain"))
@@ -48,6 +46,9 @@ func FuzzChainCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, err := ReadChain(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrCorruptChain) {
+				t.Fatalf("rejection does not wrap ErrCorruptChain: %v", err)
+			}
 			return // clean rejection is a pass
 		}
 		var out bytes.Buffer

@@ -97,15 +97,12 @@ func (m *Mempool) Pending() []*Transaction {
 
 // AssembleAndMine builds a block on the current head from the given
 // candidate transactions (normally Mempool.Pending), executes them to
-// determine gas usage, and performs proof-of-work. Transactions that
-// fail stateful validation (bad nonce, insufficient funds) are skipped,
-// not fatal. It returns nil if quit closes before a seal is found or no
-// head is available.
-//
-// The caller owns the race with the network: if another block lands on
-// the head while mining, the sealed block may no longer extend the
-// canonical chain and AddBlock will treat it as a side branch.
-func (c *Chain) AssembleAndMine(miner keys.Address, candidates []*Transaction, timeMs uint64, startNonce uint64, quit <-chan struct{}) *Block {
+// determine gas usage, and performs proof-of-work from nonce 0.
+// Transactions that fail stateful validation (bad nonce, insufficient
+// funds) are skipped, not fatal. The block extends the head as of the
+// call; AddBlock rejects it with ErrUnknownParent if the chain has
+// moved on since.
+func (c *Chain) AssembleAndMine(miner keys.Address, candidates []*Transaction, timeMs uint64) *Block {
 	head := c.Head()
 	if timeMs < head.Header.Time {
 		timeMs = head.Header.Time
@@ -122,9 +119,7 @@ func (c *Chain) AssembleAndMine(miner keys.Address, candidates []*Transaction, t
 	included, gasUsed := SelectTxs(c.cfg.Gas, st, miner, c.proc, candidates, header.GasLimit)
 	header.GasUsed = gasUsed
 	header.TxRoot = MerkleRoot(included)
-	if !Mine(&header, startNonce, quit) {
-		return nil
-	}
+	Mine(&header, 0)
 	return &Block{Header: header, Txs: included}
 }
 

@@ -22,27 +22,15 @@ func CheckPoW(h *Header) bool {
 	return new(big.Int).SetBytes(hash[:]).Cmp(powTarget(h.Difficulty)) < 0
 }
 
-// Mine searches nonces starting at startNonce until the header satisfies
-// its difficulty or quit is closed. It returns true on success with the
-// header's Nonce set; the header is left at the last tried nonce on
-// abort. The quit channel is polled every 64 attempts, so cancellation
-// latency is bounded.
-func Mine(h *Header, startNonce uint64, quit <-chan struct{}) bool {
+// Mine searches nonces upward from startNonce until the header
+// satisfies its difficulty, leaving the winning nonce in h.Nonce.
+func Mine(h *Header, startNonce uint64) {
 	target := powTarget(h.Difficulty)
-	h.Nonce = startNonce
-	for i := 0; ; i++ {
-		if i%64 == 0 && quit != nil {
-			select {
-			case <-quit:
-				return false
-			default:
-			}
-		}
+	for h.Nonce = startNonce; ; h.Nonce++ {
 		hash := h.Hash()
 		if new(big.Int).SetBytes(hash[:]).Cmp(target) < 0 {
-			return true
+			return
 		}
-		h.Nonce++
 	}
 }
 

@@ -16,8 +16,8 @@ type Account struct {
 
 // State is the world state: account balances/nonces plus per-contract
 // key-value storage. It is a plain value store — copying it snapshots
-// the world, which the chain uses for fork handling and per-transaction
-// revert semantics.
+// the world, which the chain uses to execute a block before accepting it
+// and for per-transaction revert semantics.
 //
 // Storage values are interned: once a []byte is stored it is treated as
 // immutable, and Copy aliases it instead of duplicating the bytes. That

@@ -1,15 +1,14 @@
 // Package chain implements the permissionless proof-of-work blockchain
 // the decentralized experiments run on: ECDSA-signed transactions,
 // blocks with Merkle transaction roots, PoW mining with difficulty
-// retargeting, account state with gas accounting, a mempool, and a chain
-// store with total-difficulty fork choice.
+// retargeting, account state with gas accounting, a mempool, and a
+// linear chain replica that validates and executes every block.
 //
 // It stands in for the paper's private Ethereum (Geth) deployment; see
 // DESIGN.md for the substitution argument. The consensus rules are a
 // simplified but faithful PoW subset: hash-below-target block sealing,
-// heaviest-chain selection, per-byte calldata gas (the paper's ref [12]
-// "gas conversion" making transaction cost track model size), and
-// intrinsic transaction gas.
+// per-byte calldata gas (the paper's ref [12] "gas conversion" making
+// transaction cost track model size), and intrinsic transaction gas.
 package chain
 
 import (

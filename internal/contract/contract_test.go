@@ -306,11 +306,11 @@ func TestEndToEndOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := c.AssembleAndMine(km.Address(), []*chain.Transaction{tx1, tx2}, 1500, 0, nil)
-	if b == nil || len(b.Txs) != 2 {
+	b := c.AssembleAndMine(km.Address(), []*chain.Transaction{tx1, tx2}, 1500)
+	if len(b.Txs) != 2 {
 		t.Fatalf("assembled block wrong: %+v", b)
 	}
-	if _, err := c.AddBlock(b); err != nil {
+	if err := c.AddBlock(b); err != nil {
 		t.Fatal(err)
 	}
 	st := c.StateCopy()
@@ -322,7 +322,7 @@ func TestEndToEndOnChain(t *testing.T) {
 		t.Fatalf("submission not recorded: %+v", subs)
 	}
 	// The weights can be recovered from the carrying transaction.
-	carried := c.GetBlock(b.Hash()).Txs[1]
+	carried := c.Head().Txs[1]
 	method, args, err := DecodeCall(carried.Payload)
 	if err != nil || method != "submit" {
 		t.Fatal("cannot decode carried payload")

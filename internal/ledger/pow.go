@@ -51,12 +51,9 @@ func (be *powBackend) Submit(tx *chain.Transaction) error {
 // stay pooled for a later commit; included transactions are removed
 // from every peer's pool.
 func (be *powBackend) Commit(leader int, timeMs uint64) (Commit, error) {
-	b := be.chains[leader].AssembleAndMine(be.cfg.Sealers[leader], be.pools[leader].Pending(), timeMs, 0, nil)
-	if b == nil {
-		return Commit{}, fmt.Errorf("ledger: mining aborted")
-	}
+	b := be.chains[leader].AssembleAndMine(be.cfg.Sealers[leader], be.pools[leader].Pending(), timeMs)
 	for i, c := range be.chains {
-		if _, err := c.AddBlock(b); err != nil {
+		if err := c.AddBlock(b); err != nil {
 			return Commit{}, fmt.Errorf("ledger: peer %d: %w", i, err)
 		}
 	}
