@@ -4,8 +4,9 @@
 #                  tests under the coverage ratchet + the race-detector
 #                  smoke over the parallel execution engine + the fuzz
 #                  smoke over the chain codec and mempool + the
-#                  campaign crash-recovery smoke (SIGKILL + resume) + a
-#                  bench-json smoke snapshot gated by bench-guard (the
+#                  campaign crash-recovery smoke (SIGKILL + resume) + vet
+#                  and tests of the perfbench module + a bench-json
+#                  smoke snapshot gated by bench-guard (the
 #                  hardware-aware parallel-speedup floor).
 
 GO ?= go
@@ -25,7 +26,7 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build vet test cover test-race fuzz-smoke campaign-smoke bench bench-json bench-guard profile ci
+.PHONY: build vet test cover test-race fuzz-smoke campaign-smoke perfbench-check bench bench-json bench-guard profile ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +62,12 @@ fuzz-smoke:
 # against the uninterrupted sweep's tables (campaign_test.go).
 campaign-smoke:
 	$(GO) test -run 'TestCampaignSIGKILLRecovery|TestCampaignResumeAfterCancel|TestCampaignResumeTornTail' -count=1 .
+
+# The end-to-end benchmark (perfbench/) is its own Go module, so the
+# root `go test ./...` never compiles it: vet and test it here so a
+# public-API change that breaks the benchmark fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race smoke: the internal/par pool itself, plus short parallel runs
 # of the decentralized experiment, the trade-off sweep, and the
@@ -103,4 +110,4 @@ profile:
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
-ci: build vet cover test-race fuzz-smoke campaign-smoke bench-json bench-guard
+ci: build vet cover test-race fuzz-smoke campaign-smoke perfbench-check bench-json bench-guard

@@ -19,10 +19,10 @@ import (
 // (the same baseline as the determinism suite — see internal/testutil).
 func backendOpts() waitornot.Options { return testutil.TinyOptions() }
 
-// TestPowBackendMatchesLegacyDefault pins that the legacy facade (no
-// backend named) and WithBackend("pow") produce byte-identical
-// RunDecentralized reports at Parallelism 1 and at NumCPU — i.e. the
-// default resolves to pow and the Experiment path adds nothing. Both
+// TestPowBackendMatchesLegacyDefault pins that the legacy default (no
+// backend named) and Options.Backend = "pow" produce byte-identical
+// decentralized reports at Parallelism 1 and at NumCPU — i.e. the
+// default resolves to pow. Both
 // sides intentionally run the in-tree code: equality against the
 // actual pre-ledger runner cannot be pinned portably (report bytes
 // embed trained float32 weights, which vary across architectures), so
@@ -32,11 +32,14 @@ func TestPowBackendMatchesLegacyDefault(t *testing.T) {
 	for _, parallelism := range []int{1, 0} {
 		opts := backendOpts()
 		opts.Parallelism = parallelism
-		legacy, err := waitornot.RunDecentralized(opts)
+		legacyRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := waitornot.New(opts, waitornot.WithBackend("pow")).Run(context.Background())
+		legacy := legacyRes.Decentralized
+		pow := opts
+		pow.Backend = "pow"
+		res, err := waitornot.New(pow, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,17 +58,19 @@ func TestPowBackendMatchesLegacyDefault(t *testing.T) {
 // clean-data submission at this scale.
 func TestBackendsPreserveFLSemantics(t *testing.T) {
 	opts := backendOpts()
-	base, err := waitornot.RunDecentralized(opts)
+	baseRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRes.Decentralized
 	for _, backend := range []string{"poa", "instant", "pbft"} {
 		o := opts
 		o.Backend = backend
-		rep, err := waitornot.RunDecentralized(o)
+		res, err := waitornot.New(o, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		if !reflect.DeepEqual(base.Rounds, rep.Rounds) {
 			t.Fatalf("%s: per-round decisions diverged from pow", backend)
 		}
@@ -100,10 +105,11 @@ func TestPBFTVerificationFiltersPoison(t *testing.T) {
 	for _, backend := range []string{"pow", "poa", "pbft"} {
 		o := opts
 		o.Backend = backend
-		rep, err := waitornot.RunDecentralized(o)
+		res, err := waitornot.New(o, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		reports[backend] = rep
 	}
 
@@ -165,10 +171,11 @@ func TestCommitLatencyShapesWaits(t *testing.T) {
 		opts.SkipComboTables = true
 		opts.Backend = backend
 		opts.CommitLatency = true
-		rep, err := waitornot.RunDecentralized(opts)
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		waits[backend] = rep.Rounds[0][0].WaitMs
 	}
 	if !(waits["pow"] > waits["poa"] && waits["poa"] > waits["instant"]) {
@@ -209,10 +216,11 @@ func TestRegisterBackendSpec(t *testing.T) {
 	opts.SkipComboTables = true
 	opts.Backend = "pow-glacial-test"
 	opts.CommitLatency = true
-	rep, err := waitornot.RunDecentralized(opts)
+	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Decentralized
 	if got := rep.Rounds[0][0].WaitMs; got != 4000 {
 		t.Fatalf("variant wait = %v ms, want quantized to its 4000 ms interval", got)
 	}
@@ -280,7 +288,8 @@ func TestConsensusLadderScenario(t *testing.T) {
 	s.Options.SelectionSize = 30
 	s.Options.TestPerClient = 30
 	s.Options.LearningRate = 0.01
-	res, err := s.Experiment(waitornot.WithSeed(11)).Run(context.Background())
+	s.Options.Seed = 11
+	res, err := s.Experiment().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,8 @@ import (
 //	    Base:            "pow",
 //	    BlockIntervalMs: 5000,
 //	})
-//	res, err := waitornot.New(opts, waitornot.WithBackend("pow-slow")).Run(ctx)
+//	opts.Backend = "pow-slow"
+//	res, err := waitornot.New(opts).Run(ctx)
 
 // BackendInfo describes one registered consensus backend.
 type BackendInfo struct {
@@ -58,7 +59,7 @@ func BackendNames() []string { return ledger.Names() }
 // BackendSpec registers a named consensus backend: an existing
 // substrate (Base) plus consensus-parameter overrides. Registered
 // specs are selectable everywhere a built-in is — Options.Backend,
-// WithBackend, Scenario.Backends, and the -backend CLI flag.
+// WithBackends, Scenario.Backends, and the -backend CLI flag.
 type BackendSpec struct {
 	// Name is the new backend's registry key (unique, non-empty).
 	Name string

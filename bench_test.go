@@ -57,10 +57,11 @@ func BenchmarkTableI_Figure3_VanillaEffNet(b *testing.B) {
 
 func benchVanilla(b *testing.B, m waitornot.Model) {
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunVanilla(benchOpts(m))
+		res, err := waitornot.New(benchOpts(m), waitornot.WithKind(waitornot.KindVanilla)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Vanilla
 		last := len(rep.Consider[0]) - 1
 		b.ReportMetric(rep.Consider[0][last], "final-acc-consider")
 		b.ReportMetric(rep.NotConsider[0][last], "final-acc-not-consider")
@@ -82,10 +83,11 @@ func BenchmarkTableIV_ChainFLClientC(b *testing.B) { benchChainTable(b, 2) }
 
 func benchChainTable(b *testing.B, peer int) {
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(benchOpts(waitornot.SimpleNN))
+		res, err := waitornot.New(benchOpts(waitornot.SimpleNN), waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Decentralized
 		rounds := rep.ComboAccuracy[peer]
 		lastRow := rounds[len(rounds)-1]
 		// Row order: solo, pairs..., all. Report solo vs all.
@@ -103,10 +105,11 @@ func BenchmarkFigure4_ChainFLSeries(b *testing.B) {
 	opts := benchOpts(waitornot.EffNetB0Sim)
 	opts.Rounds = 2
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(opts)
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Decentralized
 		row := rep.ComboAccuracy[0][len(rep.ComboAccuracy[0])-1]
 		b.ReportMetric(row[len(row)-1]-row[0], "acc-gap-all-vs-solo")
 		if i == 0 {
@@ -122,10 +125,11 @@ func BenchmarkWaitPolicy_SpeedVsPrecision(b *testing.B) {
 	opts := benchOpts(waitornot.SimpleNN)
 	opts.StragglerFactor = []float64{1, 1, 3}
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3))
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Tradeoff
 		sync := rep.Outcomes[0]
 		async := rep.Outcomes[len(rep.Outcomes)-1]
 		b.ReportMetric(sync.MeanWaitMs/async.MeanWaitMs, "speedup-first1-vs-waitall")
@@ -261,10 +265,11 @@ func BenchmarkAblationSelectionSetSize(b *testing.B) {
 			opts := benchOpts(waitornot.SimpleNN)
 			opts.SelectionSize = size
 			for i := 0; i < b.N; i++ {
-				rep, err := waitornot.RunDecentralized(opts)
+				res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
+				rep := res.Decentralized
 				last := rep.Rounds[0][len(rep.Rounds[0])-1]
 				b.ReportMetric(last.ChosenAccuracy, "final-acc")
 			}
@@ -282,10 +287,11 @@ func BenchmarkAblationFilterThreshold(b *testing.B) {
 			opts.PoisonFraction = 1
 			opts.FilterMaxBelowBest = margin
 			for i := 0; i < b.N; i++ {
-				rep, err := waitornot.RunDecentralized(opts)
+				res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
+				rep := res.Decentralized
 				last := rep.Rounds[0][len(rep.Rounds[0])-1]
 				b.ReportMetric(last.ChosenAccuracy, "final-acc-healthy-peer")
 				b.ReportMetric(float64(len(last.Rejected)), "rejected")
@@ -634,7 +640,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 				opts.Backend = "instant"    // ...from consensus cost
 				benchParallelSpeedup(b, procs, func(parallelism int) {
 					opts.Parallelism = parallelism
-					if _, err := waitornot.RunDecentralized(opts); err != nil {
+					if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				})
@@ -662,10 +668,11 @@ func BenchmarkSubsampledFleet10k(b *testing.B) {
 	opts.SkipComboTables = true
 	opts.Backend = "instant"
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(opts)
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Decentralized
 		b.ReportMetric(float64(len(rep.PeerNames)), "peers-materialized")
 		b.ReportMetric(float64(opts.Clients), "fleet-size")
 	}
@@ -678,7 +685,7 @@ func BenchmarkParallelTradeoffSweep(b *testing.B) {
 	opts.StragglerFactor = []float64{1, 1, 3}
 	benchParallelSpeedup(b, 3, func(parallelism int) {
 		opts.Parallelism = parallelism
-		if _, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3)); err != nil {
+		if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -719,10 +726,11 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 	var syncVirtual, asyncVirtual float64
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		rep, err := waitornot.RunDecentralized(opts)
+		syncRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := syncRes.Decentralized
 		syncWall += time.Since(start)
 		// The barriered run's virtual cost: every round lasts until its
 		// slowest peer fires.
@@ -739,7 +747,7 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 		syncVirtual += cum
 
 		start = time.Now()
-		res, err := waitornot.New(opts, waitornot.WithAsync()).Run(context.Background())
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -772,7 +780,7 @@ func BenchmarkShardedVsFlat(b *testing.B) {
 	var horizon, finalAcc float64
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := waitornot.RunDecentralized(opts); err != nil {
+		if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		flatWall += time.Since(start)
@@ -780,10 +788,11 @@ func BenchmarkShardedVsFlat(b *testing.B) {
 		sharded := opts
 		sharded.Shards = 4
 		start = time.Now()
-		rep, err := waitornot.RunSharded(sharded)
+		res, err := waitornot.New(sharded, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Sharded
 		shardWall += time.Since(start)
 		horizon += rep.HorizonMs
 		finalAcc += rep.FinalAccuracy
@@ -827,10 +836,11 @@ func BenchmarkShardScaling(b *testing.B) {
 				lo, hi := 1.0, 0.0
 				for _, seed := range seeds {
 					opts.Seed = seed
-					rep, err := waitornot.RunSharded(opts)
+					res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 					if err != nil {
 						b.Fatal(err)
 					}
+					rep := res.Sharded
 					horizon += rep.HorizonMs / float64(len(seeds))
 					accMean += rep.FinalAccuracy / float64(len(seeds))
 					lo = min(lo, rep.FinalAccuracy)

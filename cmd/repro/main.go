@@ -232,10 +232,9 @@ func main() {
 		opts.ClientFraction = *clientFrac
 		opts.SkipComboTables = true
 	}
+	var scale []waitornot.Option
 	if *fast {
-		opts.TrainPerClient = 200
-		opts.SelectionSize = 80
-		opts.TestPerClient = 100
+		scale = []waitornot.Option{waitornot.WithFastScale()}
 	}
 
 	run := func(name string, fn func()) {
@@ -250,7 +249,7 @@ func main() {
 	// next round boundary instead of being swallowed.
 	runExperiment := func(o waitornot.Options, m waitornot.Model, extra ...waitornot.Option) *waitornot.Results {
 		o.Model = m
-		res, err := waitornot.New(o, extra...).Run(ctx)
+		res, err := waitornot.New(o, append(extra, scale...)...).Run(ctx)
 		if err != nil {
 			exitIfCancelled(err)
 			fatal(err)
@@ -287,6 +286,7 @@ func main() {
 					waitornot.WithReplications(*repsFlag),
 					waitornot.WithTargetAccuracy(*targetAcc),
 				}
+				expOpts = append(expOpts, scale...)
 				if !*noStream {
 					expOpts = append(expOpts, waitornot.WithObserverFunc(printEvent))
 				}
@@ -307,13 +307,14 @@ func main() {
 				if o.Clients == 0 {
 					o.Clients = 4 * *shards
 				}
+				o.Shards = *shards
 				o.MergeCadence = *mergeEvery
 				if *mergeMode == "async" {
 					o.MergeMode = waitornot.MergeAsync
 				}
 				o.CommitLatency = true
 				o.SkipComboTables = true
-				res := runExperiment(o, m, waitornot.WithShards(*shards))
+				res := runExperiment(o, m, waitornot.WithKind(waitornot.KindSharded))
 				printResults(res, m.String())
 				if *csv {
 					fmt.Println(res.Sharded.CSV())
@@ -334,7 +335,7 @@ func main() {
 				o.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
 				o.CommitLatency = true
 				o.TimeBudgetMs = *timeBudget
-				res := runExperiment(o, m, waitornot.WithAsync())
+				res := runExperiment(o, m, waitornot.WithKind(waitornot.KindAsync))
 				printResults(res, m.String())
 				if *csv {
 					fmt.Println(res.Async.CSV())
@@ -449,28 +450,31 @@ func runScenario(ctx context.Context, name, model, backend string, seed uint64, 
 	sweepMode := len(sc.Seeds) > 0
 	var overrides []waitornot.Option
 	// Flags the user set explicitly override the scenario's registered
-	// configuration; untouched flags leave it as registered.
+	// configuration; untouched flags leave it as registered. sc is a
+	// copy, so editing it leaves the registry alone.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seeds":
-			overrides = append(overrides, waitornot.WithSeeds(sweepSeeds...))
+			sc.Seeds = sweepSeeds
 			sweepMode = true
 		case "replications":
-			overrides = append(overrides, waitornot.WithSeeds(), waitornot.WithReplications(reps))
+			sc.Seeds = nil
+			overrides = append(overrides, waitornot.WithReplications(reps))
 			sweepMode = true
 		case "seed":
-			overrides = append(overrides, waitornot.WithSeed(seed))
+			sc.Options.Seed = seed
 		case "rounds":
-			overrides = append(overrides, waitornot.WithRounds(rounds))
+			sc.Options.Rounds = rounds
 		case "client-fraction":
-			overrides = append(overrides, waitornot.WithClientFraction(clientFrac))
+			sc.Options.ClientFraction = clientFrac
 		case "parallel":
-			overrides = append(overrides, waitornot.WithParallelism(parallel))
+			sc.Options.Parallelism = parallel
 		case "backend":
 			// An explicit -backend wins over a scenario's backend
 			// ladder too: clear the ladder so the sweep runs on the
 			// requested substrate alone.
-			overrides = append(overrides, waitornot.WithBackend(backend), waitornot.WithBackends())
+			sc.Options.Backend = backend
+			sc.Backends = nil
 		case "model":
 			switch model {
 			case "simple":
@@ -481,11 +485,11 @@ func runScenario(ctx context.Context, name, model, backend string, seed uint64, 
 				fmt.Fprintln(os.Stderr, "-scenario runs one model; use -model simple or -model effnet")
 				os.Exit(2)
 			}
-			overrides = append(overrides, waitornot.WithModel(modelLabel))
+			sc.Options.Model = modelLabel
 		}
 	})
 	if budgetSet {
-		overrides = append(overrides, waitornot.WithTimeBudget(budget))
+		sc.Options.TimeBudgetMs = budget
 	}
 	if targetAcc > 0 {
 		if !sweepMode {

@@ -68,10 +68,12 @@ func tinyShardedOpts() waitornot.Options {
 // TestPrintShardedRun drives the sharded experiment through the CLI's
 // own streaming and report printers and checks the headline lines land.
 func TestPrintShardedRun(t *testing.T) {
+	opts := tinyShardedOpts()
+	opts.Shards = 2
 	var res *waitornot.Results
 	stream := captureStdout(t, func() {
 		var err error
-		res, err = waitornot.New(tinyShardedOpts(), waitornot.WithShards(2),
+		res, err = waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded),
 			waitornot.WithObserverFunc(printEvent)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@
 package waitornot_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,16 +32,18 @@ func goldenEqual(t *testing.T, label string, a, b any) {
 func TestDecentralizedParallelMatchesSequential(t *testing.T) {
 	seqOpts := detOpts()
 	seqOpts.Parallelism = 1
-	seq, err := waitornot.RunDecentralized(seqOpts)
+	seqRes, err := waitornot.New(seqOpts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := seqRes.Decentralized
 	parOpts := detOpts()
 	parOpts.Parallelism = 8
-	par, err := waitornot.RunDecentralized(parOpts)
+	parRes, err := waitornot.New(parOpts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := parRes.Decentralized
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel decentralized report differs from sequential")
 	}
@@ -66,7 +69,7 @@ func TestBFLResultParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) *bfl.Result {
 		c := cfg
 		c.Parallelism = parallelism
-		res, err := bfl.RunDecentralized(c)
+		res, err := bfl.Run(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,16 +87,18 @@ func TestBFLResultParallelMatchesSequential(t *testing.T) {
 func TestVanillaParallelMatchesSequential(t *testing.T) {
 	seqOpts := detOpts()
 	seqOpts.Parallelism = 1
-	seq, err := waitornot.RunVanilla(seqOpts)
+	seqRes, err := waitornot.New(seqOpts, waitornot.WithKind(waitornot.KindVanilla)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := seqRes.Vanilla
 	parOpts := detOpts()
 	parOpts.Parallelism = 8
-	par, err := waitornot.RunVanilla(parOpts)
+	parRes, err := waitornot.New(parOpts, waitornot.WithKind(waitornot.KindVanilla)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := parRes.Vanilla
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel vanilla report differs from sequential")
 	}
@@ -107,11 +112,11 @@ func TestTradeoffParallelMatchesSequential(t *testing.T) {
 		o := detOpts()
 		o.Parallelism = parallelism
 		o.StragglerFactor = []float64{1, 1, 4}
-		rep, err := waitornot.RunTradeoff(o, policies)
+		res, err := waitornot.New(o, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(policies...)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return res.Tradeoff
 	}
 	seq, par := run(1), run(8)
 	if !reflect.DeepEqual(seq, par) {

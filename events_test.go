@@ -82,10 +82,11 @@ func TestDecentralizedEventSequenceGolden(t *testing.T) {
 func TestObserverDoesNotPerturbResults(t *testing.T) {
 	opts := eventOpts()
 	opts.Parallelism = 8
-	bare, err := waitornot.RunDecentralized(opts)
+	bareRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	bare := bareRes.Decentralized
 	observed, err := waitornot.New(opts, waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -36,15 +36,16 @@ func main() {
 		// The last shard owns the straggler: sync merging would make the
 		// whole fleet wait for it, async merging does not.
 		StragglerFactor: []float64{1, 1, 1, 1, 1, 1, 1, 3},
+		Shards:          4,
+		ShardBackends:   []string{"pow", "poa", "pbft", "instant"},
+		MergeCadence:    1,
 		MergeMode:       waitornot.MergeAsync,
 		CommitLatency:   true, // shard commits face real block-interval delays
 		SkipComboTables: true,
 	}
 
 	res, err := waitornot.New(opts,
-		waitornot.WithShards(4),
-		waitornot.WithShardBackends("pow", "poa", "pbft", "instant"),
-		waitornot.WithMergeCadence(1),
+		waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithFastScale(),
 		waitornot.WithObserverFunc(func(ev waitornot.Event) {
 			switch e := ev.(type) {

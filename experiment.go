@@ -3,7 +3,6 @@ package waitornot
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
 // Kind selects which of the paper's experiments an Experiment executes.
@@ -52,11 +51,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Experiment is the composable run description behind the public API:
-// Options plus functional options select what to run, how to observe
-// it, and which wait policies to sweep; Run(ctx) is the single entry
-// point. The one-shot facades (RunVanilla, RunDecentralized,
-// RunTradeoff) are thin wrappers over it.
+// Experiment is the run description behind the public API: Options
+// say how the run is configured, and functional options select what
+// to run (WithKind), how to observe it, and which ladders to sweep.
+// Run(ctx) is the single entry point; read the Results field that
+// matches the kind.
 //
 //	exp := waitornot.New(waitornot.Options{Model: waitornot.SimpleNN},
 //	    waitornot.WithKind(waitornot.KindTradeoff),
@@ -77,12 +76,12 @@ type Experiment struct {
 	sweep    SweepOptions
 	observer Observer
 	scenario string
-	err      error // deferred construction error, reported by Run
 }
 
-// Option configures an Experiment. Options are applied in order;
-// later options override earlier ones (and WithScenario replaces
-// kind, options, and policies wholesale, so pass it first).
+// Option configures what an Experiment's Options cannot say on their
+// own: the kind, the observer, and the sweep ladders, plus the
+// WithFastScale data-size preset. Options are applied in order; later
+// options override earlier ones.
 type Option func(*Experiment)
 
 // New builds an Experiment from base Options (KindDecentralized
@@ -98,76 +97,6 @@ func New(opts Options, os ...Option) *Experiment {
 // WithKind selects the experiment family.
 func WithKind(k Kind) Option {
 	return func(e *Experiment) { e.kind = k }
-}
-
-// WithAsync switches the experiment to the asynchronous mode
-// (KindAsync): no global round barrier — each peer trains, waits only
-// as long as Options.Policy says, staleness-weight-merges what has
-// arrived, and immediately opens its next round on the shared virtual
-// clock.
-func WithAsync() Option {
-	return WithKind(KindAsync)
-}
-
-// WithShards switches the experiment to the sharded hierarchy
-// (KindSharded) with n shards: the fleet is partitioned contiguously,
-// each shard aggregates independently on its own ledger, and a
-// cross-shard merge stage produces the global model. Every shard needs
-// at least 2 clients.
-func WithShards(n int) Option {
-	return func(e *Experiment) {
-		e.kind = KindSharded
-		e.opts.Shards = n
-	}
-}
-
-// WithShardBackends assigns each shard's consensus backend: one name
-// for all shards, or exactly one per shard (see Options.ShardBackends).
-func WithShardBackends(names ...string) Option {
-	return func(e *Experiment) {
-		e.opts.ShardBackends = make([]string, len(names))
-		copy(e.opts.ShardBackends, names)
-	}
-}
-
-// WithMergeCadence sets how many shard rounds pass between cross-shard
-// merges (default 1; the final round always merges).
-func WithMergeCadence(rounds int) Option {
-	return func(e *Experiment) { e.opts.MergeCadence = rounds }
-}
-
-// WithMergeMode selects the cross-shard merge discipline: MergeSync
-// (barrier) or MergeAsync (staleness-weighted, on arrival).
-func WithMergeMode(m MergeMode) Option {
-	return func(e *Experiment) { e.opts.MergeMode = m }
-}
-
-// WithAdaptiveShards enables the per-shard epsilon-greedy wait-policy
-// controller: at every merge epoch each shard scores the policy it
-// just ran (accuracy gained per second of wait) and picks the next
-// epoch's policy from the experiment's ladder (WithPolicies, or
-// DefaultPolicies for the smallest shard when none is set).
-func WithAdaptiveShards() Option {
-	return func(e *Experiment) { e.opts.AdaptiveShards = true }
-}
-
-// WithTimeBudget caps a KindAsync run's virtual horizon in ms (see
-// Options.TimeBudgetMs).
-func WithTimeBudget(ms float64) Option {
-	return func(e *Experiment) { e.opts.TimeBudgetMs = ms }
-}
-
-// WithComputeDistribution draws heterogeneous per-peer per-round
-// training-duration multipliers from d (KindAsync; see
-// Options.ComputeDist).
-func WithComputeDistribution(d Dist) Option {
-	return func(e *Experiment) { e.opts.ComputeDist = d }
-}
-
-// WithNetworkDistribution draws extra per-submission network delay in
-// ms from d (KindAsync; see Options.NetworkDist).
-func WithNetworkDistribution(d Dist) Option {
-	return func(e *Experiment) { e.opts.NetworkDist = d }
 }
 
 // WithObserver attaches an observer to the run's event stream.
@@ -188,20 +117,6 @@ func WithPolicies(ps ...Policy) Option {
 		e.policies = make([]Policy, len(ps))
 		copy(e.policies, ps)
 	}
-}
-
-// WithBackend selects the consensus substrate the decentralized
-// rounds commit through ("pow", "poa", "instant", or any name added
-// with RegisterBackend). Unknown names are reported by Run.
-func WithBackend(name string) Option {
-	return func(e *Experiment) { e.opts.Backend = name }
-}
-
-// WithValidators sizes the modeled consensus committee for backends
-// with an analytic latency model ("pbft": n = 3f+1, minimum 4;
-// 0 = backend default). See Options.Validators.
-func WithValidators(n int) Option {
-	return func(e *Experiment) { e.opts.Validators = n }
 }
 
 // WithBackends sets the consensus-backend ladder a KindTradeoff
@@ -264,84 +179,6 @@ func WithTargetAccuracy(target float64) Option {
 	return func(e *Experiment) { e.sweep.TargetAccuracy = target }
 }
 
-// WithScenario loads a registered scenario: its kind, options, and
-// policy ladder replace the experiment's. Pass it first and layer
-// overrides (WithSeed, WithParallelism, ...) after it. An unknown
-// name is reported by Run, not here, so construction stays fluent.
-func WithScenario(name string) Option {
-	return func(e *Experiment) {
-		s, ok := LookupScenario(name)
-		if !ok {
-			e.err = fmt.Errorf("waitornot: unknown scenario %q (registered: %s)",
-				name, strings.Join(ScenarioNames(), ", "))
-			return
-		}
-		e.applyScenario(s)
-	}
-}
-
-func (e *Experiment) applyScenario(s Scenario) {
-	e.scenario = s.Name
-	e.kind = s.Kind
-	e.opts = s.Options
-	e.policies = make([]Policy, len(s.Policies))
-	copy(e.policies, s.Policies)
-	e.backends = nil
-	if len(s.Backends) > 0 {
-		e.backends = make([]string, len(s.Backends))
-		copy(e.backends, s.Backends)
-	}
-	e.sweep = SweepOptions{}
-	if len(s.Seeds) > 0 {
-		e.sweep.Seeds = make([]uint64, len(s.Seeds))
-		copy(e.sweep.Seeds, s.Seeds)
-	}
-	if len(s.ShardCounts) > 0 {
-		e.sweep.ShardCounts = append([]int(nil), s.ShardCounts...)
-	}
-	if len(s.MergeCadences) > 0 {
-		e.sweep.MergeCadences = append([]int(nil), s.MergeCadences...)
-	}
-}
-
-// WithModel overrides the architecture.
-func WithModel(m Model) Option {
-	return func(e *Experiment) { e.opts.Model = m }
-}
-
-// WithSeed overrides the experiment seed.
-func WithSeed(seed uint64) Option {
-	return func(e *Experiment) { e.opts.Seed = seed }
-}
-
-// WithRounds overrides the communication-round count.
-func WithRounds(n int) Option {
-	return func(e *Experiment) { e.opts.Rounds = n }
-}
-
-// WithParallelism overrides the engine's worker-pool bound
-// (0 = all cores, 1 = the exact sequential schedule; results are
-// bit-identical at every setting).
-func WithParallelism(n int) Option {
-	return func(e *Experiment) { e.opts.Parallelism = n }
-}
-
-// WithClientFraction enables cross-device client subsampling: only
-// K = round(f*Clients) clients (at least 1) train each round, drawn
-// deterministically from the seed; only sampled clients are
-// materialized, so fleets of thousands of registered clients run in
-// seconds. f must be in (0, 1] — passing f <= 0 is recorded as an
-// invalid sentinel so Run reports the error instead of silently
-// disabling subsampling. See Options.ClientFraction.
-func WithClientFraction(f float64) Option {
-	return func(e *Experiment) {
-		if f <= 0 {
-			f = -1
-		}
-		e.opts.ClientFraction = f
-	}
-}
-
 // WithFastScale shrinks the data sizes to the smoke-test scale of
 // `cmd/repro -fast`: runs finish in seconds instead of minutes, at
 // reduced statistical fidelity.
@@ -379,9 +216,6 @@ type Results struct {
 // configuration — bit-identical with or without an observer attached,
 // at any Parallelism.
 func (e *Experiment) Run(ctx context.Context) (*Results, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package waitornot_test
 
 import (
+	"context"
 	"testing"
 
 	"waitornot"
@@ -79,14 +80,16 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 		SelectionSize:  100,
 		TestPerClient:  200,
 	}
-	v, err := waitornot.RunVanilla(opts)
+	vRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindVanilla)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := waitornot.RunDecentralized(opts)
+	v := vRes.Vanilla
+	dRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := dRes.Decentralized
 	last := opts.Rounds - 1
 	for ci := range v.ClientNames {
 		vAcc := v.NotConsider[ci][last]

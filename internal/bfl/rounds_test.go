@@ -11,7 +11,7 @@ import (
 // TestRoundEngineMatchesFlat drives RoundEngine by hand with the flat
 // runner's timestamps (registration at 1 step, round k's commits at
 // 2k and 2k+1 steps) and requires the accumulated result to be
-// bit-identical to RunDecentralized on the same configuration — here
+// bit-identical to Run on the same configuration — here
 // a subsampled fleet, so the ragged participant bookkeeping is under
 // the contract too.
 func TestRoundEngineMatchesFlat(t *testing.T) {
@@ -63,7 +63,7 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	}
 	got := re.Finish()
 
-	want, err := RunDecentralized(cfg)
+	want, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	gj, _ := json.Marshal(got)
 	wj, _ := json.Marshal(want)
 	if string(gj) != string(wj) {
-		t.Fatalf("hand-driven RoundEngine differs from RunDecentralized:\ngot:  %.400s\nwant: %.400s", gj, wj)
+		t.Fatalf("hand-driven RoundEngine differs from Run:\ngot:  %.400s\nwant: %.400s", gj, wj)
 	}
 }
 

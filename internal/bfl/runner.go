@@ -3,7 +3,7 @@
 // contract on a PoW chain, personalize their aggregation with the core
 // engine, and record their decisions on-chain.
 //
-// RunDecentralized is the deterministic experiment runner that
+// Run is the deterministic experiment runner that
 // regenerates Tables II-IV and the wait-policy trade-off study: every
 // peer runs a real ledger replica and the real contracts, with block
 // production sequenced on a virtual clock so results are
@@ -330,15 +330,11 @@ func perSampleCostMs(id nn.ModelID) float64 {
 	}
 }
 
-// RunDecentralized executes the full blockchain-FL experiment.
-func RunDecentralized(cfg Config) (*Result, error) {
-	return Run(context.Background(), cfg)
-}
-
-// Run is RunDecentralized with cooperative cancellation: the context
-// is checked between rounds and between pool items (per-peer training
-// and per-peer decisions), and ctx.Err() is returned — with no partial
-// result — within one round boundary of cancellation.
+// Run executes the full blockchain-FL experiment with cooperative
+// cancellation: the context is checked between rounds and between
+// pool items (per-peer training and per-peer decisions), and ctx.Err()
+// is returned — with no partial result — within one round boundary of
+// cancellation.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res, _, err := runDecentralized(ctx, cfg)
 	return res, err

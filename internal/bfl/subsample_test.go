@@ -1,6 +1,7 @@
 package bfl
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -87,13 +88,13 @@ func TestClientFractionValidation(t *testing.T) {
 // subsampling: the full report is bit-identical at Parallelism 1 and a
 // multi-worker pool, and across repeated runs.
 func TestSubsampledReproducible(t *testing.T) {
-	seq, err := RunDecentralized(subCfg())
+	seq, err := Run(context.Background(), subCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := subCfg()
 	par.Parallelism = 4
-	pres, err := RunDecentralized(par)
+	pres, err := Run(context.Background(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSubsampledReproducible(t *testing.T) {
 // and every materialized peer participated at least once.
 func TestSubsampledSchedule(t *testing.T) {
 	cfg := subCfg()
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSubsampledLargeFleet(t *testing.T) {
 		Backend:        "instant",
 	}
 	start := time.Now()
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestClassicUnaffected(t *testing.T) {
 	cfg.ClientFraction = 0
 	cfg.Peers = 3
 	cfg.EvalAllCombos = true
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,14 @@ var (
 //
 // The cache is bounded: at verifiedTxsMax entries it is reset wholesale
 // — correctness never depends on a hit, only speed.
+//
+// It stays because the end-to-end benchmark sees it. With this cache
+// and the public-key cache in internal/keys both removed (every
+// replica still verifying every signature), the perfbench
+// ledger-fanout workload (24 replicas reading every ~240 KB
+// submission) ran at a median 5.91 s per run against 4.81 s with both
+// caches: +23%, slower in 6 of 6 paired runs, seeds 101-106, 2-core
+// Xeon, go1.24. Allocation rose 0.9%.
 var verifiedTxs = struct {
 	sync.RWMutex
 	m map[Hash]struct{}

@@ -318,15 +318,10 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 	return res, nil
 }
 
-// RunVanilla executes the full Table I experiment: both aggregation arms
-// over identical data and initial weights.
-func RunVanilla(cfg VanillaConfig) (*VanillaResult, error) {
-	return Run(context.Background(), cfg)
-}
-
-// Run is RunVanilla with cooperative cancellation: the context is
-// checked between rounds and between pool items, and ctx.Err() is
-// returned (with no partial result) once it fires.
+// Run executes the full Table I experiment: both aggregation arms over
+// identical data and initial weights. The context is checked between
+// rounds and between pool items, and ctx.Err() is returned (with no
+// partial result) once it fires.
 func Run(ctx context.Context, cfg VanillaConfig) (*VanillaResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {

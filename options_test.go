@@ -2,12 +2,14 @@ package waitornot
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
 
 // TestOptionsValidateRejections is the table of configurations
-// Validate must refuse: impossible policy parameters, negative counts,
+// Validate must refuse: impossible policy parameters, negative counts
+// and data sizes, non-finite or negative rates and straggler factors,
 // and poison fractions outside [0, 1].
 func TestOptionsValidateRejections(t *testing.T) {
 	cases := []struct {
@@ -30,6 +32,19 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"client fraction negative", func(o *Options) { o.ClientFraction = -0.5 }, "client fraction"},
 		{"client fraction above one", func(o *Options) { o.ClientFraction = 1.01 }, "client fraction"},
 		{"client fraction with dirichlet", func(o *Options) { o.ClientFraction = 0.1; o.DirichletAlpha = 0.5 }, "DirichletAlpha"},
+		{"negative train per client", func(o *Options) { o.TrainPerClient = -1 }, "TrainPerClient"},
+		{"negative selection size", func(o *Options) { o.SelectionSize = -1 }, "SelectionSize"},
+		{"negative test per client", func(o *Options) { o.TestPerClient = -1 }, "TestPerClient"},
+		{"negative local epochs", func(o *Options) { o.LocalEpochs = -2 }, "LocalEpochs"},
+		{"negative pretrain samples", func(o *Options) { o.PretrainSamples = -1 }, "PretrainSamples"},
+		{"negative pretrain epochs", func(o *Options) { o.PretrainEpochs = -1 }, "PretrainEpochs"},
+		{"negative learning rate", func(o *Options) { o.LearningRate = -0.5 }, "learning rate"},
+		{"NaN learning rate", func(o *Options) { o.LearningRate = math.NaN() }, "learning rate"},
+		{"infinite learning rate", func(o *Options) { o.LearningRate = math.Inf(1) }, "learning rate"},
+		{"negative straggler factor", func(o *Options) { o.StragglerFactor = []float64{1, -1, 1} }, "straggler factor"},
+		{"zero straggler factor", func(o *Options) { o.StragglerFactor = []float64{1, 0, 1} }, "straggler factor"},
+		{"NaN straggler factor", func(o *Options) { o.StragglerFactor = []float64{1, 1, math.NaN()} }, "straggler factor"},
+		{"infinite straggler factor", func(o *Options) { o.StragglerFactor = []float64{math.Inf(1), 1, 1} }, "straggler factor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,27 +90,16 @@ func TestOptionsValidateAccepts(t *testing.T) {
 	}
 }
 
-// TestRunRejectsInvalidPolicies proves the facade entry points reject
-// bad policies instead of handing them to the engine.
+// TestRunRejectsInvalidPolicies proves Run rejects bad policies
+// instead of handing them to the engine: the Options policy of a
+// decentralized run and a trade-off run's policy ladder.
 func TestRunRejectsInvalidPolicies(t *testing.T) {
+	ctx := context.Background()
 	opts := Options{Policy: Policy{Kind: FirstK, K: 0}}
-	if _, err := RunDecentralized(opts); err == nil {
-		t.Fatal("RunDecentralized accepted first-0")
+	if _, err := New(opts, WithKind(KindDecentralized)).Run(ctx); err == nil {
+		t.Fatal("decentralized run accepted first-0")
 	}
-	if _, err := RunTradeoff(Options{}, []Policy{{Kind: Timeout}}); err == nil {
-		t.Fatal("RunTradeoff accepted a timeout policy with no deadline")
-	}
-}
-
-// TestWithClientFractionSentinel proves the functional option records a
-// non-positive fraction as invalid instead of silently disabling
-// subsampling (0 is the "unset" zero value, so it cannot double as an
-// explicit argument).
-func TestWithClientFractionSentinel(t *testing.T) {
-	for _, f := range []float64{0, -0.3} {
-		exp := New(Options{}, WithClientFraction(f))
-		if _, err := exp.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "client fraction") {
-			t.Errorf("WithClientFraction(%g): want client-fraction error from Run, got %v", f, err)
-		}
+	if _, err := New(Options{}, WithKind(KindTradeoff), WithPolicies(Policy{Kind: Timeout})).Run(ctx); err == nil {
+		t.Fatal("trade-off run accepted a timeout policy with no deadline")
 	}
 }

@@ -33,7 +33,7 @@ func TestRaceSmokeDecentralized(t *testing.T) {
 		Filter:        core.Filter{MaxBelowBest: 0.5},
 		Parallelism:   8,
 	}
-	res, err := bfl.RunDecentralized(cfg)
+	res, err := bfl.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,11 @@ func TestRaceSmokeTradeoff(t *testing.T) {
 		StragglerFactor: []float64{1, 1, 3},
 		Parallelism:     8,
 	}
-	rep, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3))
+	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Tradeoff
 	if len(rep.Outcomes) != 3 {
 		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
@@ -74,7 +75,7 @@ func TestRaceSmokeVanilla(t *testing.T) {
 		TestPerClient:  30,
 		Parallelism:    8,
 	}
-	if _, err := waitornot.RunVanilla(opts); err != nil {
+	if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindVanilla)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,7 +178,7 @@ func TestRaceSmokeConsensusLadder(t *testing.T) {
 		Backend:         "instant",
 		Parallelism:     8,
 	}
-	if _, err := waitornot.RunDecentralized(opts); err != nil {
+	if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +220,7 @@ func TestRaceSmokePBFT(t *testing.T) {
 		Backend:         "pbft",
 		Parallelism:     8,
 	}
-	if _, err := waitornot.RunDecentralized(opts); err != nil {
+	if _, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,7 +335,7 @@ func TestRaceSmokeAsync(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := waitornot.New(opts, waitornot.WithAsync(),
+			res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync),
 				waitornot.WithObserverFunc(func(waitornot.Event) {})).Run(context.Background())
 			if err != nil {
 				t.Error(err)
@@ -409,10 +410,11 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 		Backend:        "instant",
 		Parallelism:    8,
 	}
-	rep, err := waitornot.RunDecentralized(opts)
+	syncRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := syncRes.Decentralized
 	total := 0
 	for _, rounds := range rep.Rounds {
 		total += len(rounds)
@@ -423,7 +425,7 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 
 	opts.CommitLatency = true
 	opts.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
-	res, err := waitornot.New(opts, waitornot.WithAsync()).Run(context.Background())
+	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,6 +447,7 @@ func TestRaceSmokeSharded(t *testing.T) {
 		StragglerFactor: []float64{1, 1, 1, 3},
 		CommitLatency:   true,
 		MergeMode:       waitornot.MergeAsync,
+		Shards:          2,
 		AdaptiveShards:  true,
 		Parallelism:     8,
 	}
@@ -453,7 +456,7 @@ func TestRaceSmokeSharded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := waitornot.New(opts, waitornot.WithShards(2),
+			res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded),
 				waitornot.WithObserverFunc(func(waitornot.Event) {})).Run(context.Background())
 			if err != nil {
 				t.Error(err)

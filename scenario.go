@@ -13,7 +13,8 @@ import (
 // splits) into one-liners:
 //
 //	sc, _ := waitornot.LookupScenario("async-ladder")
-//	res, err := sc.Experiment(waitornot.WithParallelism(4)).Run(ctx)
+//	sc.Options.Parallelism = 4
+//	res, err := sc.Experiment().Run(ctx)
 //
 // or, from the CLI, `go run ./cmd/repro -scenario async-ladder`.
 type Scenario struct {
@@ -46,13 +47,18 @@ type Scenario struct {
 }
 
 // Experiment builds an Experiment from the scenario plus overrides
-// (applied after the scenario, so they win).
+// (applied after the scenario, so they win). To change the scenario's
+// Options, edit the looked-up value before calling Experiment.
 func (s Scenario) Experiment(overrides ...Option) *Experiment {
-	e := New(s.Options)
-	e.applyScenario(s)
-	for _, o := range overrides {
-		o(e)
-	}
+	e := New(s.Options, append([]Option{
+		WithKind(s.Kind),
+		WithPolicies(s.Policies...),
+		WithBackends(s.Backends...),
+		WithSeeds(s.Seeds...),
+		WithShardCounts(s.ShardCounts...),
+		WithMergeCadences(s.MergeCadences...),
+	}, overrides...)...)
+	e.scenario = s.Name
 	return e
 }
 

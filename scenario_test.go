@@ -2,7 +2,7 @@ package waitornot
 
 import (
 	"context"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -100,7 +100,8 @@ func TestScenarioExperimentRuns(t *testing.T) {
 	s.Options.TestPerClient = 30
 	s.Options.LearningRate = 0.01
 	s.Options.SkipComboTables = true
-	res, err := s.Experiment(WithSeed(11)).Run(context.Background())
+	s.Options.Seed = 11
+	res, err := s.Experiment().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,32 +113,31 @@ func TestScenarioExperimentRuns(t *testing.T) {
 	}
 }
 
-// TestWithScenarioUnknownName defers the error to Run, listing the
-// registered names.
-func TestWithScenarioUnknownName(t *testing.T) {
-	_, err := New(Options{}, WithScenario("no-such-scenario")).Run(context.Background())
-	if err == nil {
-		t.Fatal("unknown scenario accepted")
+// TestScenarioExperimentOverrides: edits to the looked-up Scenario
+// value and options passed to Experiment both win over the registered
+// configuration, and the registry itself is left untouched.
+func TestScenarioExperimentOverrides(t *testing.T) {
+	s, ok := LookupScenario("replicated-tradeoff")
+	if !ok {
+		t.Fatal("replicated-tradeoff not registered")
 	}
-	if !strings.Contains(err.Error(), "no-such-scenario") || !strings.Contains(err.Error(), "paper-repro") {
-		t.Fatalf("error should name the miss and the registry: %v", err)
-	}
-}
-
-// TestWithScenarioOverrides: options after WithScenario win over the
-// scenario's registered configuration.
-func TestWithScenarioOverrides(t *testing.T) {
-	e := New(Options{}, WithScenario("stragglers"), WithSeed(99), WithParallelism(2))
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
-	if e.kind != KindTradeoff || e.scenario != "stragglers" {
+	s.Options.Seed = 99
+	s.Options.Parallelism = 2
+	s.Backends = []string{"instant"}
+	e := s.Experiment(WithSeeds(7, 8))
+	if e.kind != KindTradeoff || e.scenario != "replicated-tradeoff" {
 		t.Fatalf("scenario not applied: %+v", e)
 	}
 	if e.opts.Seed != 99 || e.opts.Parallelism != 2 {
-		t.Fatalf("overrides lost: %+v", e.opts)
+		t.Fatalf("option edits lost: %+v", e.opts)
 	}
-	if len(e.policies) != 3 {
-		t.Fatalf("policy ladder lost: %+v", e.policies)
+	if len(e.policies) != 3 || !reflect.DeepEqual(e.backends, []string{"instant"}) {
+		t.Fatalf("ladders lost: policies %+v, backends %v", e.policies, e.backends)
+	}
+	if !reflect.DeepEqual(e.sweep.Seeds, []uint64{7, 8}) {
+		t.Fatalf("WithSeeds did not override the scenario seeds: %v", e.sweep.Seeds)
+	}
+	if reg, _ := LookupScenario("replicated-tradeoff"); reg.Options.Seed != 0 || reg.Backends != nil || len(reg.Seeds) != 5 {
+		t.Fatalf("editing the looked-up value changed the registry: %+v", reg)
 	}
 }

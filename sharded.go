@@ -103,17 +103,6 @@ type ShardedReport struct {
 	HorizonMs float64
 }
 
-// RunSharded executes the sharded multi-aggregator hierarchy. It is a
-// thin wrapper over the Experiment API; use New(...).Run(ctx) for
-// cancellation and the streaming event layer.
-func RunSharded(opts Options) (*ShardedReport, error) {
-	res, err := New(opts, WithKind(KindSharded)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Sharded, nil
-}
-
 // sharded lowers the public options to the engine's hierarchy config.
 // The adaptive ladder comes from the experiment's policies (nil =
 // DefaultPolicies for the smallest shard).

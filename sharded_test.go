@@ -48,7 +48,7 @@ func TestShardedEventOrderGolden(t *testing.T) {
 		opts := shardedOpts()
 		opts.Parallelism = parallelism
 		col := &collector{}
-		res, err := waitornot.New(opts, waitornot.WithShards(2), waitornot.WithObserver(col)).Run(context.Background())
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded), waitornot.WithObserver(col)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestShardedDeterminism(t *testing.T) {
 				opts := shardedOpts()
 				opts.Parallelism = parallelism
 				tc.tweak(&opts)
-				res, err := waitornot.New(opts, waitornot.WithShards(2)).Run(context.Background())
+				res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,10 +103,11 @@ func TestShardedDeterminism(t *testing.T) {
 // TestShardedTablesGolden pins the rendered report — per-shard round
 // table, merge table, CSV, and summary line — byte-for-byte.
 func TestShardedTablesGolden(t *testing.T) {
-	rep, err := waitornot.RunSharded(shardedOpts())
+	res, err := waitornot.New(shardedOpts(), waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Sharded
 	out := rep.Table() + "\n" + rep.MergeTable() + "\n" + rep.CSV() + "\n" + rep.Summary() + "\n"
 	testutil.GoldenFile(t, "testdata/sharded_table.golden", []byte(out))
 }
@@ -114,11 +115,12 @@ func TestShardedTablesGolden(t *testing.T) {
 // TestShardedObserverDoesNotPerturb: attaching an observer changes no
 // result bit, matching the other kinds' contract.
 func TestShardedObserverDoesNotPerturb(t *testing.T) {
-	bare, err := waitornot.RunSharded(shardedOpts())
+	bareRes, err := waitornot.New(shardedOpts(), waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := waitornot.New(shardedOpts(), waitornot.WithShards(2),
+	bare := bareRes.Sharded
+	observed, err := waitornot.New(shardedOpts(), waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +138,17 @@ func TestShardedSingleShardMatchesFlat(t *testing.T) {
 	opts.CommitLatency = true
 	opts.StragglerFactor = []float64{1, 1, 3}
 
-	res, err := waitornot.New(opts, waitornot.WithShards(1)).Run(context.Background())
+	sharded := opts
+	sharded.Shards = 1
+	res, err := waitornot.New(sharded, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := waitornot.RunDecentralized(opts)
+	flatRes, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindDecentralized)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	flat := flatRes.Decentralized
 	if len(res.Sharded.Shards) != 1 {
 		t.Fatalf("expected 1 shard, got %d", len(res.Sharded.Shards))
 	}
@@ -166,7 +171,7 @@ func TestShardedSweepGrid(t *testing.T) {
 	opts := shardedOpts()
 	opts.Rounds = 1
 	rep, err := waitornot.New(opts,
-		waitornot.WithShards(2),
+		waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithShardCounts(2),
 		waitornot.WithMergeCadences(1, 2),
 		waitornot.WithBackends("pow", "instant"),
@@ -222,10 +227,11 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 	for i, p := range ladder {
 		opts := base
 		opts.Policy = p
-		rep, err := waitornot.RunSharded(opts)
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.Sharded
 		fixed[i] = rep
 		if rep.FinalAccuracy < target {
 			target = rep.FinalAccuracy
@@ -244,7 +250,7 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 
 	adaptive := base
 	adaptive.AdaptiveShards = true
-	res, err := waitornot.New(adaptive, waitornot.WithShards(2),
+	res, err := waitornot.New(adaptive, waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithPolicies(ladder...)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -233,9 +233,6 @@ type sweepPlan struct {
 // sweepPlan validates the experiment's sweep configuration and
 // resolves it into the flat work list.
 func (e *Experiment) sweepPlan() (*sweepPlan, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}

@@ -86,11 +86,11 @@ func TestSweepMatchesSoloRuns(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		opts := sweepOpts()
+		opts.Seed = seed
 		solo, err := waitornot.New(opts,
 			waitornot.WithKind(waitornot.KindTradeoff),
 			waitornot.WithPolicies(sweepPolicies()...),
-			waitornot.WithBackends("pow", "instant"),
-			waitornot.WithSeed(seed)).Run(context.Background())
+			waitornot.WithBackends("pow", "instant")).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,9 +249,9 @@ func TestReplicatedScenarioSweeps(t *testing.T) {
 	if len(sc.Seeds) != 5 {
 		t.Fatalf("scenario seeds = %v, want 5 of them", sc.Seeds)
 	}
+	sc.Options.Rounds = 1
 	rep, err := sc.Experiment(
 		waitornot.WithSeeds(11, 12),
-		waitornot.WithRounds(1),
 		waitornot.WithFastScale()).RunSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestSweepAsyncLadder(t *testing.T) {
 		o := opts
 		o.Parallelism = parallelism
 		rep, err := waitornot.New(o,
-			waitornot.WithAsync(),
+			waitornot.WithKind(waitornot.KindAsync),
 			waitornot.WithPolicies(sweepPolicies()...),
 			waitornot.WithSeeds(1, 2),
 			waitornot.WithTargetAccuracy(0.05)).RunSweep(context.Background())

@@ -36,7 +36,8 @@ type TradeoffReport struct {
 	Outcomes []PolicyOutcome
 }
 
-// RunTradeoff runs the decentralized experiment once per policy
+// runTradeoffExperiment is the engine-facing trade-off runner behind
+// Experiment.Run: it runs the decentralized experiment once per policy
 // (identical data, seeds, and initial weights) and summarizes the
 // speed-vs-precision frontier. The per-policy runs are fully
 // independent — same seed, different wait policy — so they execute
@@ -45,16 +46,7 @@ type TradeoffReport struct {
 // with P policies running concurrently, each nested experiment gets
 // roughly Parallelism/P workers for its own training pool, keeping
 // total concurrency near the knob rather than multiplying by it.
-func RunTradeoff(opts Options, policies []Policy) (*TradeoffReport, error) {
-	res, err := New(opts, WithKind(KindTradeoff), WithPolicies(policies...)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Tradeoff, nil
-}
-
-// runTradeoffExperiment is the engine-facing trade-off runner behind
-// Experiment.Run. Per-arm runs execute concurrently with their
+// Per-arm runs execute concurrently with their
 // round-level events suppressed (they would interleave
 // nondeterministically); instead one PolicyDone per arm streams
 // out, restored to sweep order by an orderedEmitter, so observers see

@@ -5,15 +5,17 @@
 // shares models over a permissionless proof-of-work chain, and
 // personalizes its own aggregation — waiting for all models, or not.
 //
-// The package is the public facade over the internal engine. Three
-// entry points cover the paper's evaluation:
+// The package is the public facade over the internal engine. Every run
+// starts the same way: New(opts, WithKind(k)).Run(ctx), where Options
+// configure the run and the kind picks one of the paper's experiment
+// families:
 //
-//   - RunVanilla — the centralized baseline (Table I / Figure 3):
+//   - KindVanilla — the centralized baseline (Table I / Figure 3):
 //     one aggregator, "consider" vs "not consider" aggregation.
-//   - RunDecentralized — the blockchain deployment (Tables II-IV /
+//   - KindDecentralized — the blockchain deployment (Tables II-IV /
 //     Figure 4): every peer mines, submits models through the
 //     aggregation contract, and adopts its best-scoring combination.
-//   - RunTradeoff — the headline question: how much time does
+//   - KindTradeoff — the headline question: how much time does
 //     asynchronous aggregation save, at what accuracy cost, under a
 //     set of wait policies.
 //
@@ -22,6 +24,7 @@ package waitornot
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -157,8 +160,8 @@ const (
 )
 
 // Dist describes a positive random draw: per-round compute multipliers
-// (WithComputeDistribution) or extra network delay in ms
-// (WithNetworkDistribution). Draws come from deterministic per-peer
+// (Options.ComputeDist) or extra network delay in ms
+// (Options.NetworkDist). Draws come from deterministic per-peer
 // xrand streams, so runs stay bit-reproducible.
 type Dist struct {
 	Kind DistKind
@@ -209,7 +212,7 @@ type Options struct {
 	LocalEpochs int
 	// Parallelism bounds the engine's worker pools: per-peer local
 	// training, the combination searches, and the per-policy runs of
-	// RunTradeoff. 0 means runtime.NumCPU(); 1 restores the exact
+	// KindTradeoff. 0 means runtime.NumCPU(); 1 restores the exact
 	// sequential schedule. Results are bit-identical at every setting
 	// — the engine pre-derives every RNG stream and writes results to
 	// index-addressed slots (see internal/par).
@@ -276,7 +279,10 @@ type Options struct {
 	// MergeSync, the barrier).
 	MergeMode MergeMode
 	// AdaptiveShards enables the per-shard epsilon-greedy wait-policy
-	// controller (see WithAdaptiveShards).
+	// controller: at every merge epoch each shard scores the policy it
+	// just ran (accuracy gained per second of wait) and picks the next
+	// epoch's policy from the experiment's ladder (WithPolicies, or
+	// DefaultPolicies for the smallest shard when none is set).
 	AdaptiveShards bool
 
 	// ComputeDist, when set, draws a per-peer per-round multiplier on
@@ -300,15 +306,40 @@ type Options struct {
 }
 
 // Validate rejects options the engine cannot honour: unknown models,
-// negative counts, poison fractions outside [0,1], and wait policies
-// with impossible parameters. Experiment.Run (and so every facade
-// entry point) calls it; exported for callers that want to fail fast.
+// negative counts and data sizes, a negative or non-finite learning
+// rate, straggler factors that are not finite and positive, poison
+// fractions outside [0,1], and wait policies with impossible
+// parameters. Experiment.Run and RunSweep call it; exported for
+// callers that want to fail fast.
 func (o Options) Validate() error {
 	if o.Clients < 0 {
 		return fmt.Errorf("waitornot: negative client count %d", o.Clients)
 	}
 	if o.Rounds < 0 {
 		return fmt.Errorf("waitornot: negative round count %d", o.Rounds)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"TrainPerClient", o.TrainPerClient},
+		{"SelectionSize", o.SelectionSize},
+		{"TestPerClient", o.TestPerClient},
+		{"LocalEpochs", o.LocalEpochs},
+		{"PretrainSamples", o.PretrainSamples},
+		{"PretrainEpochs", o.PretrainEpochs},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("waitornot: negative %s %d", f.name, f.v)
+		}
+	}
+	if o.LearningRate < 0 || math.IsNaN(o.LearningRate) || math.IsInf(o.LearningRate, 0) {
+		return fmt.Errorf("waitornot: learning rate %g is not finite and >= 0", o.LearningRate)
+	}
+	for i, s := range o.StragglerFactor {
+		if !(s > 0) || math.IsInf(s, 0) {
+			return fmt.Errorf("waitornot: straggler factor %g for client %d is not finite and > 0", s, i)
+		}
 	}
 	if o.PoisonFraction < 0 || o.PoisonFraction > 1 {
 		return fmt.Errorf("waitornot: poison fraction %g outside [0, 1]", o.PoisonFraction)
