@@ -1,7 +1,7 @@
 # Build, verify, and benchmark the waitornot reproduction.
 #
 #   make ci        everything the repository gates on: build + vet +
-#                  tests under the coverage ratchet + the race-detector
+#                  the gofmt gate + tests under the coverage ratchet + the race-detector
 #                  smoke over the parallel execution engine + the fuzz
 #                  smoke over the chain codec and mempool + the
 #                  campaign crash-recovery smoke (SIGKILL + resume) + vet
@@ -10,6 +10,7 @@
 #                  hardware-aware parallel-speedup floor).
 
 GO ?= go
+GOFMT ?= gofmt
 
 # bench-json writes a dated perf snapshot so the repo's performance
 # trajectory accumulates as machine-readable files (one per day;
@@ -26,13 +27,19 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build vet test cover test-race fuzz-smoke campaign-smoke perfbench-check bench bench-json bench-guard profile ci
+.PHONY: build vet fmt-check test cover test-race fuzz-smoke campaign-smoke perfbench-check bench bench-json bench-guard profile ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fail, naming the files, if any tracked Go file is not
+# gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -110,4 +117,4 @@ profile:
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
-ci: build vet cover test-race fuzz-smoke campaign-smoke perfbench-check bench-json bench-guard
+ci: build vet fmt-check cover test-race fuzz-smoke campaign-smoke perfbench-check bench-json bench-guard

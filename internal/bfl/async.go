@@ -107,7 +107,9 @@ type asyncPeer struct {
 // bit-identical at any Parallelism.
 type asyncEngine struct {
 	*engine
-	ctx context.Context
+	// clock is the run's virtual-time event queue.
+	clock *vclock.Clock
+	ctx   context.Context
 
 	peers     []*asyncPeer
 	res       *AsyncResult
@@ -132,7 +134,13 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.register(); err != nil {
+	// Registration commits at the clock's first cadence tick.
+	clock := vclock.New()
+	now, err := clock.Advance(e.clockStep)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.registerAt(now); err != nil {
 		return nil, err
 	}
 	// The free-running cohort: under ClientFraction the round-1 sample
@@ -140,15 +148,10 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	// to re-draw), so the async engine is a K-peer experiment over
 	// identities drawn from the registered fleet. Classic runs keep
 	// every peer.
-	cohort := e.roundParticipants(1)
-	if cohort == nil {
-		cohort = make([]int, len(e.peers))
-		for i := range cohort {
-			cohort[i] = i
-		}
-	}
+	cohort := e.participants[1]
 	a := &asyncEngine{
 		engine:   e,
+		clock:    clock,
 		ctx:      ctx,
 		budgetMs: e.cfg.TimeBudgetMs,
 		commitAt: map[float64]bool{},
@@ -191,12 +194,12 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	a.wallStart = time.Now()
 	for _, p := range a.peers {
 		p := p
-		e.clock.Schedule(e.clock.Now(), p.idx, func() error { return a.startRound(p) })
+		clock.Schedule(clock.Now(), p.idx, func() error { return a.startRound(p) })
 	}
 	if err := a.drain(); err != nil {
 		return nil, err
 	}
-	a.res.HorizonMs = e.clock.Now()
+	a.res.HorizonMs = clock.Now()
 	a.res.TrainWallTime = time.Since(a.wallStart)
 	a.res.Chain = chainStats(e.be)
 	a.res.Chain.VerifyRejected = a.verifyRejected

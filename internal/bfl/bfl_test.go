@@ -2,12 +2,14 @@ package bfl
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
 	"waitornot/internal/nn"
+	"waitornot/internal/simnet"
 )
 
 // tinyConfig is a fast 3-peer, 2-round experiment.
@@ -112,6 +114,23 @@ func TestRunDecentralizedValidates(t *testing.T) {
 	cfg.PoisonPeer = 99
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("poison peer out of range accepted")
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.TimeBudgetMs = math.NaN() },
+		func(c *Config) { c.StalenessHalfLifeMs = math.NaN() },
+		func(c *Config) { c.Compute = simnet.Dist{Kind: simnet.DistLogNormal, Mean: math.NaN()} },
+		func(c *Config) { c.Network = simnet.Dist{Kind: simnet.DistFixed, Mean: math.Inf(1)} },
+	} {
+		cfg = tinyConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("non-finite timing parameter accepted: %+v", cfg)
+		}
+	}
+	cfg = tinyConfig()
+	cfg.TimeBudgetMs, cfg.StalenessHalfLifeMs = math.Inf(1), math.Inf(1)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("+Inf budget and half-life rejected: %v", err)
 	}
 }
 

@@ -1,14 +1,16 @@
-// RoundEngine: the barriered round machinery with the clock factored
-// out. runDecentralized drives it from its own metronome clock; the
-// sharded orchestrator (internal/shard) drives many of them — one per
-// shard, each with its own ledger backend and wait policy — from one
-// shared vclock, passing explicit commit instants. Both paths execute
-// the identical round body (engine.runRound), which is what makes a
-// single-shard hierarchy bit-identical to the flat runner.
+// RoundEngine: the one driver of the barriered round, with the clock
+// factored out. runDecentralized drives it at fixed multiples of the
+// backend's commit step; the sharded orchestrator (internal/shard)
+// drives many of them — one per shard, each with its own ledger
+// backend and wait policy — from one shared vclock, passing explicit
+// commit instants. Both paths execute the identical round body
+// (engine.runRound), which is what makes a single-shard hierarchy
+// bit-identical to the flat runner.
 package bfl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -26,8 +28,13 @@ type RoundEngine struct {
 	e   *engine
 	res *Result
 	// wallStart stamps Result.TrainWallTime; set when registration
-	// completes, mirroring the flat runner's timer placement.
+	// completes.
 	wallStart time.Time
+	// lastRound and lastTsMs are the last round run and the last commit
+	// instant (registration or decision block), which RunRoundAt's
+	// ordering contract is checked against.
+	lastRound int
+	lastTsMs  float64
 }
 
 // RoundSummary condenses one committed round for a supervising
@@ -86,32 +93,47 @@ func (r *RoundEngine) RegisterAt(tsMs float64) error {
 	if err := r.e.registerAt(tsMs); err != nil {
 		return err
 	}
+	r.lastTsMs = tsMs
 	r.wallStart = time.Now()
 	return nil
 }
 
+// The RoundEngine contract violations RunRoundAt rejects.
+var (
+	errRoundOrder    = errors.New("bfl: rounds must run in order from 1")
+	errRoundPastEnd  = errors.New("bfl: round beyond the configured Rounds")
+	errSubmitInstant = errors.New("bfl: submission instant not after the previous commit")
+	errDecideInstant = errors.New("bfl: decision instant not after the submission instant")
+)
+
 // RunRoundAt executes one full barriered round — train, submit,
 // commit at subTsMs, policy-gated decisions, commit at decTsMs — and
 // returns its summary. Rounds must be executed in order starting at 1,
-// with strictly increasing commit instants.
+// with strictly increasing commit instants; a call that breaks this
+// runs nothing and returns an error.
 func (r *RoundEngine) RunRoundAt(ctx context.Context, round int, subTsMs, decTsMs float64) (RoundSummary, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundSummary{}, err
 	}
+	switch {
+	case round != r.lastRound+1:
+		return RoundSummary{}, fmt.Errorf("%w: got round %d after round %d", errRoundOrder, round, r.lastRound)
+	case round > r.e.cfg.Rounds:
+		return RoundSummary{}, fmt.Errorf("%w: round %d of %d", errRoundPastEnd, round, r.e.cfg.Rounds)
+	case !(subTsMs > r.lastTsMs):
+		return RoundSummary{}, fmt.Errorf("%w: submission at %g ms, previous commit at %g ms", errSubmitInstant, subTsMs, r.lastTsMs)
+	case !(decTsMs > subTsMs):
+		return RoundSummary{}, fmt.Errorf("%w: decision at %g ms, submission at %g ms", errDecideInstant, decTsMs, subTsMs)
+	}
 	if err := r.e.runRound(ctx, r.res, round, subTsMs, decTsMs); err != nil {
 		return RoundSummary{}, err
 	}
+	r.lastRound, r.lastTsMs = round, decTsMs
 	// Summarize over the round's participants. Result rows are ragged
 	// under ClientFraction (a peer's slice only grows in rounds it was
 	// sampled), so each participant's freshest entry — appended by the
 	// runRound call above — is this round's record.
-	slots := r.e.roundParticipants(round)
-	if slots == nil {
-		slots = make([]int, len(r.e.peers))
-		for i := range slots {
-			slots[i] = i
-		}
-	}
+	slots := r.e.participants[round]
 	sum := RoundSummary{Round: round}
 	for _, s := range slots {
 		rr := r.res.Rounds[s]

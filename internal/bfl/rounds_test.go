@@ -3,6 +3,7 @@ package bfl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"waitornot/internal/core"
@@ -122,5 +123,59 @@ func TestRoundEngineLevers(t *testing.T) {
 	}
 	if wantTotal := 2 * subsampleK(cfg.ClientFraction, cfg.Peers); total != wantTotal {
 		t.Fatalf("participant-rounds = %d, want %d", total, wantTotal)
+	}
+}
+
+// TestRunRoundAtContract: RunRoundAt enforces its ordering contract —
+// rounds in order from 1, no round past Rounds, strictly increasing
+// commit instants — and a rejected call runs nothing, so the engine
+// still accepts the correct next round afterwards.
+func TestRunRoundAtContract(t *testing.T) {
+	ctx := context.Background()
+	classic := subCfg()
+	classic.ClientFraction, classic.Peers, classic.Rounds = 0, 3, 2
+	oneRound := subCfg()
+	oneRound.Rounds = 1
+	cases := []struct {
+		name string
+		cfg  Config
+		// done rounds run (at the flat timestamps) before the bad call.
+		done         int
+		round        int
+		subTs, decTs float64 // in commit steps
+		want         error
+	}{
+		{"first round is not 1", classic, 0, 3, 6, 7, errRoundOrder},
+		{"round repeated", classic, 1, 1, 4, 5, errRoundOrder},
+		{"round past Rounds", oneRound, 1, 2, 4, 5, errRoundPastEnd},
+		{"submission at registration", classic, 0, 1, 1, 3, errSubmitInstant},
+		{"submission at previous decision", classic, 1, 2, 3, 5, errSubmitInstant},
+		{"decision before submission and registration", classic, 0, 1, 2, 0.5, errDecideInstant},
+		{"decision at submission", classic, 0, 1, 2, 2, errDecideInstant},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			re, err := NewRoundEngine(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := re.CommitStepMs()
+			if err := re.RegisterAt(step); err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= tc.done; k++ {
+				if _, err := re.RunRoundAt(ctx, k, float64(2*k)*step, float64(2*k+1)*step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := re.RunRoundAt(ctx, tc.round, tc.subTs*step, tc.decTs*step); !errors.Is(err, tc.want) {
+				t.Fatalf("RunRoundAt(%d, %g, %g steps) = %v, want %v", tc.round, tc.subTs, tc.decTs, err, tc.want)
+			}
+			if next := tc.done + 1; next <= tc.cfg.Rounds {
+				if _, err := re.RunRoundAt(ctx, next, float64(2*next)*step, float64(2*next+1)*step); err != nil {
+					t.Fatalf("round %d after the rejected call: %v", next, err)
+				}
+			}
+		})
 	}
 }

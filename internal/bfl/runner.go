@@ -1,14 +1,16 @@
 // Package bfl assembles the full system: fully coupled blockchain-FL
 // peers that train locally, submit models through the aggregation
-// contract on a PoW chain, personalize their aggregation with the core
-// engine, and record their decisions on-chain.
+// contract on a ledger backend, personalize their aggregation with the
+// core engine, and record their decisions on-chain.
 //
-// Run is the deterministic experiment runner that
-// regenerates Tables II-IV and the wait-policy trade-off study: every
-// peer runs a real ledger replica and the real contracts, with block
-// production sequenced on a virtual clock so results are
-// bit-reproducible. Network propagation is modelled as delay on that
-// clock; there is no live network.
+// One engine assembly (engine.setup) builds the fleet, its data and the
+// ledger; two schedules drive it. Run is the barriered schedule that
+// regenerates Tables II-IV and the wait-policy trade-off study, driven
+// through RoundEngine; RunAsync is the un-barriered one. Every peer runs
+// a real ledger replica and the real contracts, with block production
+// sequenced on virtual time so results are bit-reproducible. Network
+// propagation is modelled as delay on that clock; there is no live
+// network.
 package bfl
 
 import (
@@ -32,7 +34,6 @@ import (
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
-	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
 )
 
@@ -103,13 +104,14 @@ type Config struct {
 	Network simnet.Dist
 	// TimeBudgetMs caps the asynchronous run's virtual horizon: peers
 	// stop opening new rounds past it and any peer still waiting
-	// aggregates what it has. 0 means no cap (run until every peer
-	// finishes Rounds aggregations). Ignored by the barriered runner.
+	// aggregates what it has. 0 or +Inf means no cap (run until every
+	// peer finishes Rounds aggregations). Ignored by the barriered
+	// runner.
 	TimeBudgetMs float64
 	// StalenessHalfLifeMs is the age at which an update's weight in
 	// the asynchronous staleness-weighted merge halves. 0 derives it
-	// from the fleet's mean modeled training duration. Asynchronous
-	// engine only.
+	// from the fleet's mean modeled training duration; +Inf disables
+	// decay. Asynchronous engine only.
 	StalenessHalfLifeMs float64
 	// PoisonPeer, if >= 0, label-flips PoisonFrac of that peer's shard
 	// (the abnormal-client scenario).
@@ -234,11 +236,11 @@ func (c Config) Validate() error {
 	if err := c.Network.Validate(); err != nil {
 		return fmt.Errorf("bfl: network distribution: %w", err)
 	}
-	if c.TimeBudgetMs < 0 {
-		return fmt.Errorf("bfl: negative time budget %g", c.TimeBudgetMs)
+	if !(c.TimeBudgetMs >= 0) {
+		return fmt.Errorf("bfl: time budget %g is negative or NaN", c.TimeBudgetMs)
 	}
-	if c.StalenessHalfLifeMs < 0 {
-		return fmt.Errorf("bfl: negative staleness half-life %g", c.StalenessHalfLifeMs)
+	if !(c.StalenessHalfLifeMs >= 0) {
+		return fmt.Errorf("bfl: staleness half-life %g is negative or NaN", c.StalenessHalfLifeMs)
 	}
 	return c.Data.Validate()
 }
@@ -307,14 +309,15 @@ type peerState struct {
 	// simTrainMs is the deterministic training-duration model used for
 	// arrival times (samples x epochs x per-sample cost x straggler).
 	simTrainMs float64
-	// testEvals are worker evaluators over the peer's test set, used to
-	// score the Tables II-IV combination grid concurrently; testAvgs
-	// pairs them with per-worker scratch accumulators reused across
-	// rounds.
+	// testEvals are worker evaluators over the peer's test set that
+	// score the Tables II-IV combination grid (one, the client's own,
+	// without a worker pool); testAvgs pairs them with per-worker
+	// scratch accumulators reused across rounds. Both nil unless
+	// EvalAllCombos.
 	testEvals []fl.Evaluator
 	testAvgs  []*fl.Averager
-	// avg is the sequential table path's scratch accumulator (table
-	// rows are evaluated and discarded, never retained).
+	// avg is the peer's own scratch accumulator: the one-worker table
+	// pool, or the asynchronous engine's merge buffer.
 	avg fl.Averager
 }
 
@@ -364,11 +367,11 @@ func RunDecentralizedWithChain(cfg Config) (*ResultWithChain, error) {
 	return &ResultWithChain{Result: res, CanonicalChain: ch.Chain(0).CanonicalChain()}, nil
 }
 
-// engine is the assembled experiment: data sharded, peers built,
-// ledger backend up, and the shared virtual clock at zero. Both
-// schedules consume it — the barriered runner ticks the clock as a
-// commit-cadence metronome (runDecentralized), the asynchronous
-// runner drives it as a true event queue (runAsync).
+// engine is the assembled experiment: data sharded, peers built and
+// the ledger backend up. Both schedules consume it — the barriered
+// runner through RoundEngine at explicit commit instants
+// (runDecentralized), the asynchronous runner on its own event-queue
+// clock (RunAsync).
 type engine struct {
 	cfg  Config
 	sink event.Sink
@@ -381,19 +384,18 @@ type engine struct {
 
 	workers int
 
-	// clock is the virtual-time engine; clockStep the backend's commit
-	// cadence in ms (integral: the historical runner quantized it to
-	// whole ms, and bit-compatibility keeps that).
-	clock     *vclock.Clock
+	// clockStep is the backend's commit cadence in ms (integral: the
+	// historical runner quantized it to whole ms, and bit-compatibility
+	// keeps that).
 	clockStep float64
 
 	// verifyRejected accumulates ledger-verification rejections across
 	// the barriered rounds (pbft model screening).
 	verifyRejected int
 
-	// participants[round] (1-indexed) lists the slot indices sampled to
-	// train that round, ascending; nil when ClientFraction is unset
-	// (every peer, every round). Drawn once at setup.
+	// participants[round] (1-indexed) lists the slot indices training
+	// that round, ascending: every slot under the classic schedule, the
+	// K-of-N draw under ClientFraction. Fixed at setup.
 	participants [][]int
 	// txIdx[peer] incrementally indexes that peer's committed-tx view by
 	// hash, so each transaction is hashed once per view instead of once
@@ -419,7 +421,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed), clock: vclock.New()}
+	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed)}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
@@ -427,20 +429,8 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// register submits every peer's identity-registration transaction and
-// commits them as the first batch at the clock's first cadence tick
-// (round 0).
-func (e *engine) register() error {
-	now, err := e.clock.Advance(e.clockStep)
-	if err != nil {
-		return err
-	}
-	return e.registerAt(now)
-}
-
-// registerAt is register with the commit timestamp supplied by the
-// caller — the sharded orchestrator owns the clock, so its engines
-// take explicit instants instead of advancing one themselves.
+// registerAt submits every peer's identity-registration transaction
+// and commits them as the first batch (round 0) at the given instant.
 func (e *engine) registerAt(tsMs float64) error {
 	for _, p := range e.peers {
 		tx, err := chain.NewTx(p.key, p.nonce, contract.RegistryAddress, 0,
@@ -459,27 +449,44 @@ func (e *engine) registerAt(tsMs float64) error {
 	return nil
 }
 
-// setup generates data, builds peers, and brings the ledger up. The
-// subsampled (cross-device) regime materializes only sampled peers and
-// lives in subsample.go; this body is the classic cross-silo path,
-// byte-for-byte the historical schedule.
+// setup generates data, builds peers, and brings the ledger up. It
+// first fixes the participant schedule — every fleet index every round
+// in the classic cross-silo schedule, a K-of-N draw per round under
+// ClientFraction — and materializes only the union of participants.
+// Peer identities (keys, names, data streams) derive from the fleet
+// index, so a device is the same device whether or not the rest of the
+// fleet is sampled.
 func (e *engine) setup() error {
 	if e.cfg.ClientFraction > 0 {
-		return e.setupSubsampled()
+		e.cfg.EvalAllCombos = false // per-pair grids are a cross-silo artifact
 	}
 	cfg, root := e.cfg, e.root
 
-	// --- Data ------------------------------------------------------------
-	pool := dataset.Generate(cfg.Data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
-	var shards []*dataset.Set
-	if cfg.DirichletAlpha > 0 {
-		shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
+	// --- Schedule and training shards ------------------------------------
+	var parts [][]int
+	var shards []*dataset.Set // classic only: one partitioned global pool
+	if cfg.ClientFraction > 0 {
+		// Each sampled peer draws its own training shard below: with
+		// thousands of registered peers one global pool would swamp
+		// setup.
+		parts = drawParticipants(root, cfg.Peers, subsampleK(cfg.ClientFraction, cfg.Peers), cfg.Rounds)
 	} else {
-		shards = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
+		every := make([]int, cfg.Peers)
+		for i := range every {
+			every[i] = i
+		}
+		parts = make([][]int, cfg.Rounds+1)
+		for r := 1; r <= cfg.Rounds; r++ {
+			parts[r] = every
+		}
+		pool := dataset.Generate(cfg.Data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
+		if cfg.DirichletAlpha > 0 {
+			shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
+		} else {
+			shards = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
+		}
 	}
-	if cfg.PoisonPeer >= 0 && cfg.PoisonFrac > 0 {
-		shards[cfg.PoisonPeer] = dataset.PoisonLabelFlip(shards[cfg.PoisonPeer], cfg.PoisonFrac, root.Derive("poison"))
-	}
+	fleet, participants := assignSlots(parts)
 
 	// --- Initial weights (shared; pretrained for the complex model) ------
 	initModel := cfg.Model.Build(root.Derive("init"))
@@ -488,15 +495,15 @@ func (e *engine) setup() error {
 	}
 	initial := initModel.WeightVector()
 
-	// --- Ledger + peers ---------------------------------------------------
+	// --- Ledger, sized to the materialized peers --------------------------
 	vm := contract.NewVM(cfg.Chain.Gas)
-	peerKeys := make([]*keys.Key, cfg.Peers)
-	alloc := make(map[keys.Address]uint64, cfg.Peers)
-	sealers := make([]keys.Address, cfg.Peers)
-	for i := range peerKeys {
-		peerKeys[i] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(i))
-		alloc[peerKeys[i].Address()] = 1 << 62
-		sealers[i] = peerKeys[i].Address()
+	peerKeys := make([]*keys.Key, len(fleet))
+	alloc := make(map[keys.Address]uint64, len(fleet))
+	sealers := make([]keys.Address, len(fleet))
+	for s, gi := range fleet {
+		peerKeys[s] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(gi))
+		alloc[peerKeys[s].Address()] = 1 << 62
+		sealers[s] = peerKeys[s].Address()
 	}
 	// Consortium verification set: an independent held-out sample the
 	// ledger's model verification (pbft) scores submissions on. Derive
@@ -511,7 +518,7 @@ func (e *engine) setup() error {
 		return verifyEval(w)
 	}
 	be, err := ledger.New(cfg.Backend, ledger.Config{
-		Peers:      cfg.Peers,
+		Peers:      len(fleet),
 		Chain:      cfg.Chain,
 		Alloc:      alloc,
 		Proc:       vm,
@@ -522,33 +529,54 @@ func (e *engine) setup() error {
 	if err != nil {
 		return err
 	}
+
+	// --- Peers ------------------------------------------------------------
 	workers := par.Workers(cfg.Parallelism)
 	// Worker-evaluator pools for the per-peer combination searches are
-	// capped by the number of combinations a peer ever enumerates.
-	comboWorkers := workers
-	if n := len(fl.PaperCombos(cfg.Peers, 0)); comboWorkers > n {
-		comboWorkers = n
+	// capped by the number of combinations a peer ever enumerates. The
+	// cross-device search is capped at maxSubsampleCombo peers and runs
+	// on one evaluator (enumerating the full fleet's combos would also
+	// cost O(Peers^2)).
+	comboWorkers := 1
+	if cfg.ClientFraction == 0 {
+		comboWorkers = min(workers, len(fl.PaperCombos(cfg.Peers, 0)))
 	}
-	peers := make([]*peerState, cfg.Peers)
-	for i := range peers {
-		name := fl.ClientName(i)
+	// Building peers is embarrassingly parallel: every stream below
+	// derives by label from the root, and each item writes only its own
+	// slot, so the fleet is identical at any Parallelism.
+	peers := make([]*peerState, len(fleet))
+	if err := par.ForEach(workers, len(fleet), func(s int) error {
+		gi := fleet[s]
+		name := fl.ClientName(gi)
 		model := cfg.Model.Build(root.Derive("peer-model-" + name))
+		var train *dataset.Set
+		if shards != nil {
+			train = shards[gi]
+		} else {
+			train = dataset.Generate(cfg.Data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
+		}
+		if gi == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
+			train = dataset.PoisonLabelFlip(train, cfg.PoisonFrac, root.Derive("poison"))
+		}
 		sel := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("selection-"+name))
 		test := dataset.Generate(cfg.Data, cfg.TestPerPeer, root.Derive("test-"+name))
-		client := fl.NewClient(name, model, shards[i], sel, test, cfg.Hyper, root.Derive("train-"+name))
+		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0
 		if cfg.StragglerFactor != nil {
-			straggler = cfg.StragglerFactor[i]
+			straggler = cfg.StragglerFactor[gi]
 		}
 		p := &peerState{
 			name:       name,
-			key:        peerKeys[i],
+			key:        peerKeys[s],
 			client:     client,
 			adopted:    initial,
-			samples:    shards[i].Len(),
-			simTrainMs: float64(shards[i].Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
+			samples:    train.Len(),
+			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
 		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, client.SelectionEvaluator(), root.Derive("ties-"+name))
+		if cfg.ClientFraction > 0 {
+			p.agg.MaxComboPeers = maxSubsampleCombo
+		}
 		if comboWorkers > 1 {
 			// Independent scratch models let one peer's combination
 			// search fan out without touching the client's model.
@@ -557,17 +585,22 @@ func (e *engine) setup() error {
 				p.testEvals = fl.SelectionEvaluators(cfg.Model, test, comboWorkers)
 				p.testAvgs = fl.NewAveragers(comboWorkers)
 			}
+		} else if cfg.EvalAllCombos {
+			p.testEvals, p.testAvgs = []fl.Evaluator{client.TestAccuracy}, []*fl.Averager{&p.avg}
 		}
-		peers[i] = p
+		peers[s] = p
+		return nil
+	}); err != nil {
+		return err
 	}
 
-	// The clock advances at the backend's commit cadence, so block
+	// The barriered rounds commit at the backend's cadence, so block
 	// timestamps march at the interval the difficulty retarget rule
 	// targets — a backend variant with a slower interval stays at its
 	// difficulty equilibrium instead of climbing every block. For the
 	// default pow substrate the cadence IS the chain's target interval,
 	// preserving the historical schedule bit-for-bit; zero-latency
-	// backends (instant) keep the legacy clock. Quantized to whole ms
+	// backends (instant) keep the legacy cadence. Quantized to whole ms
 	// exactly as the historical runner's uint64 clock was.
 	step := uint64(be.CommitLatencyMs())
 	if step == 0 {
@@ -578,6 +611,7 @@ func (e *engine) setup() error {
 	e.peers = peers
 	e.initial = initial
 	e.workers = workers
+	e.participants = participants
 	return nil
 }
 
@@ -593,74 +627,43 @@ func (e *engine) newResult() *Result {
 		ComboAccuracy: make([][][]float64, n),
 		Rounds:        make([][]RoundStats, n),
 	}
-	names := make([]string, n)
 	for i, p := range e.peers {
-		names[i] = p.name
 		res.PeerNames[i] = p.name
 	}
-	if e.participants != nil {
+	if cfg.ClientFraction > 0 {
 		// Subsampled fleets skip the per-pair combo grid: labels alone
 		// would be quadratic in Peers, and EvalAllCombos is disabled.
 		return res
 	}
 	for i := range e.peers {
 		for _, combo := range fl.PaperCombos(cfg.Peers, i) {
-			res.ComboLabels[i] = append(res.ComboLabels[i], combo.Label(names))
+			res.ComboLabels[i] = append(res.ComboLabels[i], combo.Label(res.PeerNames))
 		}
 	}
 	return res
 }
 
-// roundParticipants returns the ascending slot indices training in
-// round, or nil when subsampling is off (every peer, every round).
-func (e *engine) roundParticipants(round int) []int {
-	if e.participants == nil || round < 1 || round >= len(e.participants) {
-		return nil
-	}
-	return e.participants[round]
-}
-
-// runDecentralized is the barriered schedule on the virtual clock:
-// every round, all peers train, the round's submissions commit at the
-// next cadence tick, every peer's policy fires on the shared arrival
-// model (core.FirePolicy), and the decisions commit at the tick after.
-// The round body itself lives in engine.runRound so the sharded
-// orchestrator can drive the identical machinery with timestamps from
-// its own shared clock.
+// runDecentralized is the barriered schedule: a RoundEngine registered
+// at one commit step, with round k's submission and decision blocks at
+// 2k and 2k+1 steps (see RoundEngine.CommitStepMs). Every round, the
+// participants train, their submissions commit, every participant's
+// policy fires on the shared arrival model (core.FirePolicy), and the
+// decisions commit.
 func runDecentralized(ctx context.Context, cfg Config) (*Result, ledger.Backend, error) {
-	e, err := newEngine(cfg)
+	r, err := NewRoundEngine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := e.register(); err != nil {
+	step := r.CommitStepMs()
+	if err := r.RegisterAt(step); err != nil {
 		return nil, nil, err
 	}
-	res := e.newResult()
-
-	trainStart := time.Now()
-	for round := 1; round <= e.cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		// The barriered clock is a pure metronome (no queued events), so
-		// taking both cadence ticks up front yields the exact timestamps
-		// the historical schedule produced mid-round.
-		subTs, err := e.clock.Advance(e.clockStep)
-		if err != nil {
-			return nil, nil, err
-		}
-		decTs, err := e.clock.Advance(e.clockStep)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := e.runRound(ctx, res, round, subTs, decTs); err != nil {
+	for k := 1; k <= r.e.cfg.Rounds; k++ {
+		if _, err := r.RunRoundAt(ctx, k, float64(2*k)*step, float64(2*k+1)*step); err != nil {
 			return nil, nil, err
 		}
 	}
-	res.TrainWallTime = time.Since(trainStart)
-	res.Chain = chainStats(e.be)
-	res.Chain.VerifyRejected = e.verifyRejected
-	return res, e.be, nil
+	return r.Finish(), r.e.be, nil
 }
 
 // runRound executes one full barriered round — train, submit, commit
@@ -674,18 +677,10 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	// pre-drawn K-of-N sample under ClientFraction. slots maps the
 	// round-local index back to the fleet slot (result rows, ledger
 	// views); peers is the participating subset in slot order.
-	slots := e.roundParticipants(round)
-	peers := e.peers
-	if slots != nil {
-		peers = make([]*peerState, len(slots))
-		for k, s := range slots {
-			peers[k] = e.peers[s]
-		}
-	} else {
-		slots = make([]int, len(peers))
-		for i := range slots {
-			slots[i] = i
-		}
+	slots := e.participants[round]
+	peers := make([]*peerState, len(slots))
+	for k, s := range slots {
+		peers[k] = e.peers[s]
 	}
 	nPart := len(peers)
 
@@ -786,24 +781,13 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		// verification (which can exclude a peer's update from
 		// onChain), so every labeled row stays defined each round.
 		if cfg.EvalAllCombos {
-			combos := fl.PaperCombos(cfg.Peers, i)
-			row := make([]float64, 0, len(combos))
-			if len(p.testEvals) > 1 {
-				results, err := fl.EvaluateCombosWith(updates, combos, p.testEvals, p.testAvgs)
-				if err != nil {
-					return err
-				}
-				for _, r := range results {
-					row = append(row, r.Accuracy)
-				}
-			} else {
-				for _, combo := range combos {
-					w, err := p.avg.FedAvg(combo.Pick(updates))
-					if err != nil {
-						return err
-					}
-					row = append(row, p.client.TestAccuracy(w))
-				}
+			results, err := fl.EvaluateCombosWith(updates, fl.PaperCombos(cfg.Peers, i), p.testEvals, p.testAvgs)
+			if err != nil {
+				return err
+			}
+			row := make([]float64, len(results))
+			for j, r := range results {
+				row[j] = r.Accuracy
 			}
 			res.ComboAccuracy[slots[i]] = append(res.ComboAccuracy[slots[i]], row)
 		}

@@ -8,9 +8,9 @@
 // abnormal models against a local selection set (the paper's "pre-set
 // threshold"), enumerates candidate model combinations, and adopts the
 // combination that scores best locally. The engine is deliberately pure:
-// time is passed in, so the same code runs under the real network stack
-// (internal/bfl), the virtual-clock simulator (internal/simnet), and unit
-// tests.
+// time is passed in, so the same code runs under the experiment engines'
+// virtual clock (internal/bfl), the round simulator (internal/simnet),
+// and unit tests.
 package core
 
 import (

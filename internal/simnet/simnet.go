@@ -330,17 +330,17 @@ type Dist struct {
 // IsZero reports whether the distribution is unset.
 func (d Dist) IsZero() bool { return d == Dist{} }
 
-// Validate rejects distributions that could draw non-positive
-// durations or that name no family.
+// Validate rejects distributions that could draw non-positive or
+// non-finite durations or that name no family.
 func (d Dist) Validate() error {
 	if d.IsZero() {
 		return nil
 	}
-	if d.Mean <= 0 {
-		return fmt.Errorf("simnet: distribution mean %g must be positive", d.Mean)
+	if !(d.Mean > 0) || math.IsInf(d.Mean, 1) {
+		return fmt.Errorf("simnet: distribution mean %g must be finite and positive", d.Mean)
 	}
-	if d.Jitter < 0 {
-		return fmt.Errorf("simnet: distribution jitter %g must be non-negative", d.Jitter)
+	if !(d.Jitter >= 0) || math.IsInf(d.Jitter, 1) {
+		return fmt.Errorf("simnet: distribution jitter %g must be finite and non-negative", d.Jitter)
 	}
 	switch d.Kind {
 	case DistFixed, DistLogNormal, DistExponential:

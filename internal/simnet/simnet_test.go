@@ -229,6 +229,10 @@ func TestDistValidate(t *testing.T) {
 		{Kind: DistUniform, Mean: 1, Jitter: 1.5},
 		{Kind: DistKind(99), Mean: 1},
 		{Kind: DistLogNormal, Mean: 1, Jitter: -0.1},
+		{Kind: DistLogNormal, Mean: math.NaN()},
+		{Kind: DistFixed, Mean: math.Inf(1)},
+		{Kind: DistLogNormal, Mean: 5, Jitter: math.NaN()},
+		{Kind: DistLogNormal, Mean: 5, Jitter: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v validated, want error", bad)

@@ -13,11 +13,10 @@
 // pools with index-addressed slots, see internal/par), never between
 // them.
 //
-// The synchronous experiment runner consumes the clock as a metronome
-// (Advance at the commit cadence); the asynchronous runner consumes it
-// as a true event queue (Schedule/Run). Both share the one ordering
-// rule, so "sync" is literally the barriered special case of the same
-// timeline.
+// The asynchronous runner and the sharded orchestrator consume the
+// clock as an event queue (Schedule/Run); the flat barriered runner
+// needs no queue and commits at fixed multiples of the same cadence,
+// so "sync" is the barriered special case of the same timeline.
 package vclock
 
 import (
@@ -125,8 +124,8 @@ func (c *Clock) RunUntil(until float64) error {
 }
 
 // Advance runs every event due within the next delta ms, then moves the
-// clock to exactly now + delta and returns it — the metronome the
-// synchronous runner ticks its commit cadence with.
+// clock to exactly now + delta and returns it (the asynchronous runner
+// takes its registration tick this way).
 func (c *Clock) Advance(delta float64) (float64, error) {
 	if delta < 0 {
 		return c.now, fmt.Errorf("vclock: negative advance %g", delta)

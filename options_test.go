@@ -45,6 +45,11 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"zero straggler factor", func(o *Options) { o.StragglerFactor = []float64{1, 0, 1} }, "straggler factor"},
 		{"NaN straggler factor", func(o *Options) { o.StragglerFactor = []float64{1, 1, math.NaN()} }, "straggler factor"},
 		{"infinite straggler factor", func(o *Options) { o.StragglerFactor = []float64{math.Inf(1), 1, 1} }, "straggler factor"},
+		{"NaN compute mean", func(o *Options) { o.ComputeDist = Dist{Kind: DistLogNormal, Mean: math.NaN()} }, "compute distribution"},
+		{"infinite compute mean", func(o *Options) { o.ComputeDist = Dist{Kind: DistFixed, Mean: math.Inf(1)} }, "compute distribution"},
+		{"NaN network jitter", func(o *Options) { o.NetworkDist = Dist{Kind: DistLogNormal, Mean: 5, Jitter: math.NaN()} }, "network distribution"},
+		{"NaN staleness half-life", func(o *Options) { o.StalenessHalfLifeMs = math.NaN() }, "half-life"},
+		{"NaN time budget", func(o *Options) { o.TimeBudgetMs = math.NaN() }, "time budget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,6 +85,8 @@ func TestOptionsValidateAccepts(t *testing.T) {
 		{"client fraction unset", Options{ClientFraction: 0}},
 		{"client fraction full", Options{ClientFraction: 1}},
 		{"cross-device fleet", Options{Clients: 1000, ClientFraction: 0.01}},
+		{"infinite time budget", Options{TimeBudgetMs: math.Inf(1)}},
+		{"infinite staleness half-life", Options{StalenessHalfLifeMs: math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

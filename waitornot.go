@@ -296,12 +296,12 @@ type Options struct {
 	NetworkDist Dist
 	// TimeBudgetMs caps a KindAsync run's virtual horizon: peers stop
 	// opening rounds past it, and a peer still waiting there merges
-	// what it has. 0 = no cap (run until every peer finishes Rounds
-	// aggregations).
+	// what it has. 0 or +Inf = no cap (run until every peer finishes
+	// Rounds aggregations).
 	TimeBudgetMs float64
 	// StalenessHalfLifeMs tunes the asynchronous merge: an update's
 	// weight halves per this many ms of age. 0 derives it from the
-	// fleet's mean modeled training duration.
+	// fleet's mean modeled training duration; +Inf disables decay.
 	StalenessHalfLifeMs float64
 }
 
@@ -359,11 +359,11 @@ func (o Options) Validate() error {
 	if err := o.NetworkDist.Validate(); err != nil {
 		return fmt.Errorf("waitornot: network distribution: %w", err)
 	}
-	if o.TimeBudgetMs < 0 {
-		return fmt.Errorf("waitornot: negative time budget %g ms", o.TimeBudgetMs)
+	if !(o.TimeBudgetMs >= 0) {
+		return fmt.Errorf("waitornot: time budget %g ms is negative or NaN", o.TimeBudgetMs)
 	}
-	if o.StalenessHalfLifeMs < 0 {
-		return fmt.Errorf("waitornot: negative staleness half-life %g ms", o.StalenessHalfLifeMs)
+	if !(o.StalenessHalfLifeMs >= 0) {
+		return fmt.Errorf("waitornot: staleness half-life %g ms is negative or NaN", o.StalenessHalfLifeMs)
 	}
 	if o.Backend != "" {
 		if _, ok := ledger.Lookup(o.Backend); !ok {
