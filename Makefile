@@ -56,12 +56,14 @@ cover:
 
 # Fuzz smoke: a few seconds per fuzz target, enough to catch shallow
 # regressions in the chain codec, the mempool, the weight-payload
-# codec, and the pbft model verifier on every CI run.
+# codec, the pbft model verifier, and the bit-for-bit order of the
+# weight-gradient GEMM on every CI run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainCodec -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolSubmit -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzPayloadCodec -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzPBFTVerify -fuzztime $(FUZZTIME) ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz FuzzGEMMExact -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # Campaign smoke: the crash-recovery acceptance test end to end — a
 # tiny campaign run in a child process, SIGKILLed the instant its log

@@ -47,26 +47,24 @@ func (d *Dense) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x.Cols))
 	}
 	d.x = x
-	if d.y == nil || d.y.Rows != x.Rows {
-		d.y = tensor.New(x.Rows, d.Out)
-	}
+	d.y = reuse(d.y, x.Rows, d.Out)
 	tensor.MatMul(x, d.W, d.y)
 	tensor.AddRowVector(d.y, d.B.Data)
 	return d.y
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(dout *tensor.Dense) *tensor.Dense {
+func (d *Dense) Backward(dout *tensor.Dense, needDx bool) *tensor.Dense {
 	// dW += xᵀ * dout ; dB += column sums ; dx = dout * Wᵀ.
 	// Gradients accumulate in place and dx reuses a persistent buffer:
 	// this runs once per minibatch, and fresh scratch matrices here
 	// used to dominate the training allocation profile.
 	tensor.MatMulTransAAdd(d.x, dout, d.dW)
 	tensor.AddColSums(dout, d.dB.Data)
-
-	if d.dx == nil || d.dx.Rows != dout.Rows {
-		d.dx = tensor.New(dout.Rows, d.In)
+	if !needDx {
+		return nil
 	}
+	d.dx = reuse(d.dx, dout.Rows, d.In)
 	tensor.MatMulTransB(dout, d.W, d.dx)
 	return d.dx
 }
@@ -94,10 +92,8 @@ func (r *ReLU) Name() string { return "relu" }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
-	if r.y == nil || r.y.Rows != x.Rows || r.y.Cols != x.Cols {
-		r.y = tensor.New(x.Rows, x.Cols)
-		r.mask = make([]bool, len(x.Data))
-	}
+	r.y = reuse(r.y, x.Rows, x.Cols)
+	r.mask = reuseMask(r.mask, len(x.Data))
 	for i, v := range x.Data {
 		if v > 0 {
 			r.y.Data[i] = v
@@ -111,10 +107,11 @@ func (r *ReLU) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
-	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
-		r.dx = tensor.New(dout.Rows, dout.Cols)
+func (r *ReLU) Backward(dout *tensor.Dense, needDx bool) *tensor.Dense {
+	if !needDx {
+		return nil
 	}
+	r.dx = reuse(r.dx, dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
 		if r.mask[i] {
 			r.dx.Data[i] = v
@@ -183,9 +180,7 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 	}
 	c.x = x
 	op := c.Geom.OutH() * c.Geom.OutW()
-	if c.y == nil || c.y.Rows != x.Rows {
-		c.y = tensor.New(x.Rows, c.OutLen())
-	}
+	c.y = reuse(c.y, x.Rows, c.OutLen())
 	if c.cols == nil {
 		c.cols = tensor.New(op, c.Geom.PatchLen())
 	}
@@ -206,17 +201,17 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
+func (c *Conv2D) Backward(dout *tensor.Dense, needDx bool) *tensor.Dense {
 	op := c.Geom.OutH() * c.Geom.OutW()
-	inLen := c.Geom.InC * c.Geom.InH * c.Geom.InW
-	if c.dx == nil || c.dx.Rows != dout.Rows {
-		c.dx = tensor.New(dout.Rows, inLen)
+	var dx *tensor.Dense
+	if needDx {
+		c.dx = reuse(c.dx, dout.Rows, c.Geom.InC*c.Geom.InH*c.Geom.InW)
+		c.dx.Zero() // Col2Im accumulates into overlapping windows
+		if c.dcols == nil {
+			c.dcols = tensor.New(op, c.Geom.PatchLen())
+		}
+		dx = c.dx
 	}
-	c.dx.Zero() // Col2Im accumulates into overlapping windows
-	if c.dcols == nil {
-		c.dcols = tensor.New(op, c.Geom.PatchLen())
-	}
-	dx, dcols := c.dx, c.dcols
 	for s := 0; s < dout.Rows; s++ {
 		douts := tensor.FromSlice(c.OutC, op, dout.Row(s))
 		// Recompute the patch matrix; it is cheaper than caching one
@@ -231,9 +226,11 @@ func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 			}
 			c.dB.Data[ch] += sum
 		}
-		// dcols = doutsᵀ * W  (OP x OutC)*(OutC x P).
-		tensor.MatMulTransA(douts, c.W, dcols)
-		tensor.Col2Im(c.Geom, dcols, dx.Row(s))
+		if dx != nil {
+			// dcols = doutsᵀ * W  (OP x OutC)*(OutC x P).
+			tensor.MatMulTransA(douts, c.W, c.dcols)
+			tensor.Col2Im(c.Geom, c.dcols, dx.Row(s))
+		}
 	}
 	return dx
 }
@@ -279,10 +276,11 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 	}
 	oh, ow := p.H/p.Size, p.W/p.Size
 	outLen := p.OutLen()
-	if p.y == nil || p.y.Rows != x.Rows {
-		p.y = tensor.New(x.Rows, outLen)
+	p.y = reuse(p.y, x.Rows, outLen)
+	if cap(p.argmax) < x.Rows*outLen {
 		p.argmax = make([]int32, x.Rows*outLen)
 	}
+	p.argmax = p.argmax[:x.Rows*outLen]
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		out := p.y.Row(s)
@@ -312,11 +310,12 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (p *MaxPool2D) Backward(dout *tensor.Dense) *tensor.Dense {
-	outLen := p.OutLen()
-	if p.dx == nil || p.dx.Rows != dout.Rows {
-		p.dx = tensor.New(dout.Rows, p.C*p.H*p.W)
+func (p *MaxPool2D) Backward(dout *tensor.Dense, needDx bool) *tensor.Dense {
+	if !needDx {
+		return nil
 	}
+	outLen := p.OutLen()
+	p.dx = reuse(p.dx, dout.Rows, p.C*p.H*p.W)
 	p.dx.Zero() // gradients scatter-add through argmax
 	dx := p.dx
 	for s := 0; s < dout.Rows; s++ {
@@ -341,9 +340,10 @@ type Dropout struct {
 	P   float64
 	rng *xrand.RNG
 
-	mask []bool
-	y    *tensor.Dense
-	dx   *tensor.Dense
+	masked bool // the last Forward applied mask (it was a training pass)
+	mask   []bool
+	y      *tensor.Dense
+	dx     *tensor.Dense
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -362,17 +362,13 @@ func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || d.P == 0 {
-		// Identity at inference; mark mask nil so Backward passes through.
-		d.mask = nil
+	d.masked = train && d.P != 0
+	if !d.masked {
+		// Identity at inference; Backward passes through.
 		return x
 	}
-	if d.y == nil || d.y.Rows != x.Rows || d.y.Cols != x.Cols {
-		d.y = tensor.New(x.Rows, x.Cols)
-	}
-	if len(d.mask) != len(x.Data) {
-		d.mask = make([]bool, len(x.Data))
-	}
+	d.y = reuse(d.y, x.Rows, x.Cols)
+	d.mask = reuseMask(d.mask, len(x.Data))
 	scale := float32(1 / (1 - d.P))
 	for i, v := range x.Data {
 		if d.rng.Float64() < d.P {
@@ -387,14 +383,15 @@ func (d *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(dout *tensor.Dense) *tensor.Dense {
-	if d.mask == nil {
+func (d *Dropout) Backward(dout *tensor.Dense, needDx bool) *tensor.Dense {
+	if !needDx {
+		return nil
+	}
+	if !d.masked {
 		return dout
 	}
 	scale := float32(1 / (1 - d.P))
-	if d.dx == nil || d.dx.Rows != dout.Rows || d.dx.Cols != dout.Cols {
-		d.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	d.dx = reuse(d.dx, dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
 		if d.mask[i] {
 			d.dx.Data[i] = v * scale
@@ -410,3 +407,25 @@ func (d *Dropout) Params() []*tensor.Dense { return nil }
 
 // Grads implements Layer.
 func (d *Dropout) Grads() []*tensor.Dense { return nil }
+
+// reuse returns buf reshaped to rows x cols, reslicing its backing
+// array when the capacity suffices and allocating only when it does
+// not. Evaluate batches a set by 64 and ends on a shorter batch, so
+// the row count changes within every evaluation; a buffer sized for
+// the full batch serves the short one. The contents are stale: every
+// caller overwrites or zeroes each element before reading it.
+func reuse(buf *tensor.Dense, rows, cols int) *tensor.Dense {
+	if buf == nil || cap(buf.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	buf.Rows, buf.Cols, buf.Data = rows, cols, buf.Data[:rows*cols]
+	return buf
+}
+
+// reuseMask is reuse for a flat mask of n entries.
+func reuseMask(mask []bool, n int) []bool {
+	if cap(mask) < n {
+		return make([]bool, n)
+	}
+	return mask[:n]
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 	if y.Cols != 1 || y.Data[0] != 5 {
 		t.Fatalf("maxpool got %v", y.Data)
 	}
-	dx := p.Backward(tensor.FromSlice(1, 1, []float32{7}))
+	dx := p.Backward(tensor.FromSlice(1, 1, []float32{7}), true)
 	want := []float32{0, 7, 0, 0}
 	for i, v := range want {
 		if dx.Data[i] != v {
@@ -327,7 +328,7 @@ func TestDropoutInferenceIdentity(t *testing.T) {
 	if !y.Equal(x) {
 		t.Fatal("dropout must be identity at inference")
 	}
-	dx := d.Backward(x)
+	dx := d.Backward(x, true)
 	if !dx.Equal(x) {
 		t.Fatal("dropout backward must pass through after inference forward")
 	}
@@ -406,5 +407,111 @@ func benchTrain(b *testing.B, id ModelID) {
 		_, grad := SoftmaxCrossEntropy(logits, ys)
 		m.Backward(grad)
 		opt.Step(m.Params(), m.Grads())
+	}
+}
+
+// sameBits fails t unless got and want hold the same float32 bit
+// patterns.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBackwardSkipsFirstInputGradient: Model.Backward leaves out the
+// first layer's input gradient, which nothing reads, and every
+// parameter gradient stays bit-identical to a backward pass that asks
+// every layer for its input gradient.
+func TestBackwardSkipsFirstInputGradient(t *testing.T) {
+	for _, id := range []ModelID{ModelSimpleNN, ModelEffNetSim} {
+		t.Run(id.String(), func(t *testing.T) {
+			rng := xrand.New(16)
+			x, ys := smallBatch(rng.Derive("batch"), 5, ImageLen, NumClass)
+			// step runs one forward/backward pass on a fresh model and
+			// returns its gradients and what layer 0's Backward returned;
+			// needDx == nil means through Model.Backward.
+			step := func(needDx func(i int) bool) ([]*tensor.Dense, *tensor.Dense) {
+				m := id.Build(rng.Derive("model"))
+				_, dout := SoftmaxCrossEntropy(m.Forward(x, true), ys)
+				if needDx == nil {
+					m.Backward(dout)
+					return m.Grads(), nil
+				}
+				for i := len(m.Layers) - 1; i >= 0; i-- {
+					dout = m.Layers[i].Backward(dout, needDx(i))
+				}
+				return m.Grads(), dout
+			}
+			want, dx0 := step(func(int) bool { return true })
+			if dx0 == nil || dx0.Rows != len(ys) || dx0.Cols != ImageLen {
+				t.Fatalf("layer 0 asked for its input gradient returned %v", dx0)
+			}
+			got, _ := step(nil)
+			skipped, dx0 := step(func(i int) bool { return i > 0 })
+			if dx0 != nil {
+				t.Fatal("layer 0 computed the input gradient it was told is not needed")
+			}
+			for i := range want {
+				sameBits(t, fmt.Sprintf("Model.Backward grad %d", i), got[i].Data, want[i].Data)
+				sameBits(t, fmt.Sprintf("needDx=i>0 grad %d", i), skipped[i].Data, want[i].Data)
+			}
+		})
+	}
+}
+
+// TestLayerBuffersSurviveBatchResize: a layer reuses its buffers when
+// the batch row count changes (evaluation ends every set on a short
+// batch), and a step on the resized buffers matches a fresh model bit
+// for bit. The stack puts a Dense first so every other layer type
+// computes its input gradient.
+func TestLayerBuffersSurviveBatchResize(t *testing.T) {
+	build := func() *Model {
+		rng := xrand.New(17)
+		return NewModel("t",
+			NewDense(36, 36, rng.Derive("fc0")),
+			NewConv2D(tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1}, 2, rng.Derive("conv")),
+			NewReLU(),
+			NewMaxPool2D(2, 4, 4, 2),
+			NewDropout(0.25, nil),
+			NewDense(8, 3, rng.Derive("fc1")),
+		)
+	}
+	reused := build()
+	rng := xrand.New(18)
+	for _, rows := range []int{4, 1, 3, 4, 2} {
+		x, ys := smallBatch(rng, rows, 36, 3)
+		var logits [2][]float32
+		var grads [2][]*tensor.Dense
+		for k, m := range []*Model{reused, build()} {
+			m.Layers[4].(*Dropout).rng = xrand.New(uint64(rows))
+			m.ZeroGrads()
+			out := m.Forward(x, true)
+			logits[k] = append([]float32(nil), out.Data...)
+			_, grad := SoftmaxCrossEntropy(out, ys)
+			m.Backward(grad)
+			grads[k] = m.Grads()
+		}
+		sameBits(t, fmt.Sprintf("%d rows: logits", rows), logits[0], logits[1])
+		for i := range grads[1] {
+			sameBits(t, fmt.Sprintf("%d rows: grad %d", rows, i), grads[0][i].Data, grads[1][i].Data)
+		}
+	}
+
+	// Evaluating 80 rows in batches of 64 ends on a 16-row batch; once
+	// warm it allocates no more than 128 rows in two full batches.
+	m := NewSimpleNN(xrand.New(19))
+	x80, y80 := smallBatch(rng, 80, ImageLen, NumClass)
+	x128, y128 := smallBatch(rng, 128, ImageLen, NumClass)
+	Evaluate(m, x80, y80, 64)
+	short := testing.AllocsPerRun(3, func() { Evaluate(m, x80, y80, 64) })
+	full := testing.AllocsPerRun(3, func() { Evaluate(m, x128, y128, 64) })
+	if short > full {
+		t.Fatalf("80-row evaluation allocates %v times, 128-row %v: a layer reallocates on the short batch", short, full)
 	}
 }

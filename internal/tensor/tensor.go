@@ -215,28 +215,63 @@ func MatMulTransA(a, b, c *Dense) {
 // MatMulTransAAdd computes c += aᵀ * b without zeroing c first.
 // Shapes follow MatMulTransA: (k x n)ᵀ * (k x m) -> (n x m).
 //
-// When c starts zeroed this produces bit-identical results to
-// MatMulTransA-into-scratch followed by an Axpy into c, while skipping
-// the scratch matrix entirely — the backward pass of every dense layer
-// accumulates straight into its gradient through this kernel.
+// Every c[i][j] receives the adds av*b[p][j] in ascending p, skipping
+// each p whose av = a[p][i] is zero — the order a p-outer loop gives,
+// so with c zeroed the result matches MatMulTransA bit for bit. The
+// backward pass of every dense layer accumulates straight into its
+// weight gradient through this kernel.
+//
+// The loop runs i-outer so row i of c stays in registers and L1 while
+// p sweeps the batch, instead of every p sweeping all of c (for
+// SimpleNN's first layer a 3072x20 gradient). Four p-steps share one
+// pass over the row; each step is its own v += a*b statement, the
+// same form as the one-step loop, so it rounds (or fuses) the same
+// way. A group with a zero a-value falls back to the one-step loop,
+// which keeps the zero skip.
 func MatMulTransAAdd(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd shape mismatch (%dx%d)T*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k, n, m := a.Rows, a.Cols, b.Cols
-	for p := 0; p < k; p++ {
-		ap := a.Data[p*n : (p+1)*n]
-		bp := b.Data[p*m : (p+1)*m]
-		for i := 0; i < n; i++ {
-			av := ap[i]
-			if av == 0 {
+	for i := 0; i < n; i++ {
+		ci := c.Data[i*m : (i+1)*m]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := a.Data[p*n+i], a.Data[(p+1)*n+i], a.Data[(p+2)*n+i], a.Data[(p+3)*n+i]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				transAAddSteps(a, b, ci, i, p, p+4)
 				continue
 			}
-			ci := c.Data[i*m : (i+1)*m]
+			b0 := b.Data[p*m : (p+1)*m][:len(ci)]
+			b1 := b.Data[(p+1)*m : (p+2)*m][:len(ci)]
+			b2 := b.Data[(p+2)*m : (p+3)*m][:len(ci)]
+			b3 := b.Data[(p+3)*m : (p+4)*m][:len(ci)]
 			for j := range ci {
-				ci[j] += av * bp[j]
+				v := ci[j]
+				v += a0 * b0[j]
+				v += a1 * b1[j]
+				v += a2 * b2[j]
+				v += a3 * b3[j]
+				ci[j] = v
 			}
+		}
+		transAAddSteps(a, b, ci, i, p, k)
+	}
+}
+
+// transAAddSteps adds a[p][i]*b[p] into ci for p in [from, to), one p
+// at a time, skipping zero a-values.
+func transAAddSteps(a, b *Dense, ci []float32, i, from, to int) {
+	n, m := a.Cols, b.Cols
+	for p := from; p < to; p++ {
+		av := a.Data[p*n+i]
+		if av == 0 {
+			continue
+		}
+		bp := b.Data[p*m : (p+1)*m][:len(ci)]
+		for j := range ci {
+			ci[j] += av * bp[j]
 		}
 	}
 }

@@ -123,6 +123,188 @@ func TestMatMulTransA(t *testing.T) {
 	}
 }
 
+// refMatMulTransAAdd is the p-outer c += aᵀ*b loop MatMulTransAAdd
+// replaced. It fixes the order the kernel must keep: every c[i][j]
+// gets a[p][i]*b[p][j] added one p at a time in ascending p, skipping
+// each p whose a-value is zero.
+func refMatMulTransAAdd(a, b, c *Dense) {
+	k, n, m := a.Rows, a.Cols, b.Cols
+	for p := 0; p < k; p++ {
+		ap := a.Data[p*n : (p+1)*n]
+		bp := b.Data[p*m : (p+1)*m]
+		for i := 0; i < n; i++ {
+			av := ap[i]
+			if av == 0 {
+				continue
+			}
+			ci := c.Data[i*m : (i+1)*m]
+			for j := range ci {
+				ci[j] += av * bp[j]
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index where got and want differ in
+// their bit patterns, or -1. NaNs compare as one class: which operand's
+// payload an add propagates is up to the instruction's operand order,
+// not the order of the adds.
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		g, w := got[i], want[i]
+		if g != g && w != w {
+			continue
+		}
+		if math.Float32bits(g) != math.Float32bits(w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// transAAddCase builds a (k x n), b (k x m) and c (n x m) for a
+// bit-exact check of MatMulTransAAdd. Needs k >= 9.
+//
+// a is ReLU-like: about half its entries are +0 or -0, the rest of
+// either sign spread over 2^-8..2^8. b and c mix signs and magnitudes;
+// c holds some -0. Column 0 of a and of b carry two plants for
+// c[0][0] = 1:
+//   - p = 0..3 add 2^24, -2^24, 0.5 and 0.5: in order that gives 1,
+//     any regrouping gives 2;
+//   - p = 4 has a = -0 against b = +Inf, and p = 5..7 add 0.25 each,
+//     so c[0][0] ends at 1.75 only if that zero a-value is skipped
+//     inside a group whose other a-values are not zero; otherwise it
+//     turns NaN. Row 0 of a is zero after p = 7.
+//
+// Further ±Inf and NaN sit in b at p >= 8, where row 0 of a is zero,
+// and in a below row 0.
+func transAAddCase(rng *xrand.RNG, k, n, m int) (a, b, c *Dense) {
+	negZero := float32(math.Copysign(0, -1))
+	spread := func() float32 {
+		v := float32(math.Ldexp(1+rng.Float64(), rng.Intn(17)-8))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	a, b, c = New(k, n), New(k, m), New(n, m)
+	for i := range a.Data {
+		switch rng.Intn(4) {
+		case 0:
+			a.Data[i] = negZero
+		case 1:
+		default:
+			a.Data[i] = spread()
+		}
+	}
+	for i := range b.Data {
+		b.Data[i] = spread()
+	}
+	for i := range c.Data {
+		if rng.Intn(5) == 0 {
+			c.Data[i] = negZero
+		} else {
+			c.Data[i] = spread()
+		}
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, v := range []float32{inf, -inf, nan} {
+		b.Set(8+rng.Intn(k-8), rng.Intn(m), v)
+		if n > 1 {
+			a.Set(rng.Intn(k), 1+rng.Intn(n-1), v)
+		}
+	}
+	for p := 0; p < k; p++ {
+		a.Set(p, 0, 0)
+	}
+	for p, v := range []float32{1 << 12, -1 << 12, 0.5, 0.5, negZero, 0.25, 0.25, 0.25} {
+		a.Set(p, 0, v)
+	}
+	for p, v := range []float32{1 << 12, 1 << 12, 1, 1, inf, 1, 1, 1} {
+		b.Set(p, 0, v)
+	}
+	c.Set(0, 0, 1)
+	return a, b, c
+}
+
+func TestMatMulTransAAddBitExact(t *testing.T) {
+	rng := xrand.New(8)
+	// k is never a multiple of 4 here, so every case has a tail; n = 1
+	// and m = 1 are the degenerate row and column shapes.
+	shapes := []struct{ k, n, m int }{
+		{9, 1, 1}, {9, 1, 7}, {10, 5, 1}, {11, 3, 3}, {13, 7, 2}, {33, 20, 10}, {35, 64, 17},
+	}
+	for _, s := range shapes {
+		a, b, c := transAAddCase(rng, s.k, s.n, s.m)
+		want := c.Clone()
+		refMatMulTransAAdd(a, b, want)
+		if w := want.At(0, 0); w != 1.75 {
+			t.Fatalf("k=%d n=%d m=%d: reference plant gives %v, want 1.75", s.k, s.n, s.m, w)
+		}
+		MatMulTransAAdd(a, b, c)
+		if i := firstBitDiff(c.Data, want.Data); i >= 0 {
+			t.Errorf("k=%d n=%d m=%d: c[%d][%d] = %v (%#08x), reference %v (%#08x)",
+				s.k, s.n, s.m, i/s.m, i%s.m, c.Data[i], math.Float32bits(c.Data[i]),
+				want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// FuzzGEMMExact: on fuzz-chosen shapes and values (the byte stream
+// indexes a table of exact zeros, infinities, NaN and values whose sums
+// round), MatMulTransAAdd must agree with the p-outer reference bit for
+// bit, and MatMulTransA must equal it from a zeroed c.
+func FuzzGEMMExact(f *testing.F) {
+	// a = 1,1,1,1,0,1,1,1; b = 2^24,-2^24,0.5,0.5,+Inf,1,1,1; c = 1:
+	// in order c ends at 4, regrouped at 5, without the zero skip NaN.
+	f.Add(uint8(8), uint8(1), uint8(1), []byte{5, 5, 5, 5, 0, 5, 5, 5, 8, 9, 7, 7, 2, 5, 5, 5, 5})
+	f.Add(uint8(5), uint8(3), uint8(2), []byte{12, 0, 13, 1, 14, 200, 17, 31, 255})
+	f.Add(uint8(0), uint8(4), uint8(4), []byte{})
+	f.Fuzz(func(t *testing.T, k, n, m uint8, vals []byte) {
+		kk, nn, mm := int(k%40), int(n%24), int(m%24)
+		table := []float32{
+			0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+			float32(math.NaN()), 1, -1, 0.5, 1 << 24, -1 << 24, 1 << 12, -1 << 12,
+			3, 1.0 / 3, math.MaxFloat32, math.SmallestNonzeroFloat32,
+		}
+		next := 0
+		val := func() float32 {
+			if len(vals) == 0 {
+				return 0
+			}
+			v := vals[next%len(vals)]
+			next++
+			if int(v) < len(table) {
+				return table[v]
+			}
+			// Every other byte is a finite value with its own
+			// magnitude, so sums round differently when regrouped.
+			return float32(math.Ldexp(float64(int8(v)), int(v%29)-14))
+		}
+		a, b, c := New(kk, nn), New(kk, mm), New(nn, mm)
+		for _, d := range []*Dense{a, b, c} {
+			for i := range d.Data {
+				d.Data[i] = val()
+			}
+		}
+		want := c.Clone()
+		refMatMulTransAAdd(a, b, want)
+		MatMulTransAAdd(a, b, c)
+		if i := firstBitDiff(c.Data, want.Data); i >= 0 {
+			t.Fatalf("%dx%d x %dx%d: element %d is %#08x, reference %#08x", kk, nn, kk, mm, i,
+				math.Float32bits(c.Data[i]), math.Float32bits(want.Data[i]))
+		}
+		fresh := New(nn, mm)
+		MatMulTransAAdd(a, b, fresh)
+		viaTransA := New(nn, mm)
+		viaTransA.Fill(7) // MatMulTransA must overwrite
+		MatMulTransA(a, b, viaTransA)
+		if i := firstBitDiff(viaTransA.Data, fresh.Data); i >= 0 {
+			t.Fatalf("MatMulTransA differs from MatMulTransAAdd into zeros at %d", i)
+		}
+	})
+}
+
 func TestMatMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
